@@ -1,194 +1,76 @@
 //! Microbenchmarks for the timing-model components: how fast the
 //! simulator itself simulates.
-//!
-//! Offline builds (the default) use a plain `std::time` harness; enable
-//! the `criterion` feature (and restore the criterion dev-dependency —
-//! see Cargo.toml) for the statistical harness.
 
-#[cfg(feature = "criterion")]
-mod with_criterion {
-    use criterion::{black_box, criterion_group, Criterion};
-    use secsim_core::{AuthQueue, AuthQueueConfig, CtrlConfig, ObfConfig, Obfuscator, SecureMemCtrl};
-    use secsim_mem::{
-        AccessKind, Cache, CacheConfig, Channel, Dram, DramConfig, FillEngine, FillRequest,
-    };
+use secsim_bench::timing::{fmt_rate, measure};
+use secsim_core::{AuthQueue, AuthQueueConfig, CtrlConfig, ObfConfig, Obfuscator, SecureMemCtrl};
+use secsim_mem::{
+    AccessKind, Cache, CacheConfig, Channel, Dram, DramConfig, FillEngine, FillRequest,
+};
 
-    fn bench_cache(c: &mut Criterion) {
-        let mut g = c.benchmark_group("cache");
-        g.bench_function("l2_access_hit", |b| {
-            let mut cache = Cache::new(CacheConfig::paper_l2_256k());
-            cache.access(0x1000, false);
-            b.iter(|| cache.access(black_box(0x1000), false))
-        });
-        g.bench_function("l2_access_stream", |b| {
-            let mut cache = Cache::new(CacheConfig::paper_l2_256k());
-            let mut addr: u32 = 0;
-            b.iter(|| {
-                addr = addr.wrapping_add(64);
-                cache.access(black_box(addr), false)
-            })
-        });
-        g.finish();
-    }
-
-    fn bench_dram(c: &mut Criterion) {
-        let mut g = c.benchmark_group("dram");
-        g.bench_function("access_page_hit", |b| {
-            let mut d = Dram::new(DramConfig::paper_reference());
-            let mut now = 0u64;
-            b.iter(|| {
-                let r = d.access(black_box(0x100), 64, now);
-                now = r.done;
-                r
-            })
-        });
-        g.finish();
-    }
-
-    fn bench_auth_queue(c: &mut Criterion) {
-        c.bench_function("auth_queue_request", |b| {
-            let mut q = AuthQueue::new(AuthQueueConfig::default());
-            let mut t = 0u64;
-            b.iter(|| {
-                t += 50;
-                q.request(black_box(t), 0)
-            })
-        });
-    }
-
-    fn bench_secure_fill(c: &mut Criterion) {
-        c.bench_function("secure_fill", |b| {
-            let mut ctrl = SecureMemCtrl::new(CtrlConfig::paper_reference());
-            let mut chan = Channel::new(DramConfig::paper_reference());
-            let mut t = 0u64;
-            let mut addr = 0u32;
-            b.iter(|| {
-                t += 200;
-                addr = addr.wrapping_add(64);
-                ctrl.fill(
-                    FillRequest {
-                        line_addr: addr,
-                        demand_addr: addr,
-                        bytes: 64,
-                        kind: AccessKind::Load,
-                        now: t,
-                        bus_not_before: 0,
-                    },
-                    &mut chan,
-                )
-            })
-        });
-    }
-
-    fn bench_obfuscator(c: &mut Criterion) {
-        c.bench_function("obf_lookup", |b| {
-            let mut obf = Obfuscator::new(ObfConfig::paper_reference(0, 1 << 14));
-            let mut chan = Channel::new(DramConfig::paper_reference());
-            let mut t = 0u64;
-            let mut addr = 0u32;
-            b.iter(|| {
-                t += 100;
-                addr = (addr + 64) & ((1 << 20) - 1);
-                obf.lookup(black_box(addr), t, &mut chan)
-            })
-        });
-    }
-
-    criterion_group!(
-        benches,
-        bench_cache,
-        bench_dram,
-        bench_auth_queue,
-        bench_secure_fill,
-        bench_obfuscator
+fn report(m: secsim_bench::timing::Measurement) {
+    println!(
+        "{:28} {:>12} ops/s  ({:.1} ns/op)",
+        m.label,
+        fmt_rate(m.rate(1.0)),
+        m.per_iter_secs() * 1e9
     );
-
-    pub fn main() {
-        benches();
-        Criterion::default().configure_from_args().final_summary();
-    }
-}
-
-#[cfg(not(feature = "criterion"))]
-mod plain {
-    use secsim_bench::timing::{fmt_rate, measure};
-    use secsim_core::{AuthQueue, AuthQueueConfig, CtrlConfig, ObfConfig, Obfuscator, SecureMemCtrl};
-    use secsim_mem::{
-        AccessKind, Cache, CacheConfig, Channel, Dram, DramConfig, FillEngine, FillRequest,
-    };
-
-    fn report(m: secsim_bench::timing::Measurement) {
-        println!(
-            "{:28} {:>12} ops/s  ({:.1} ns/op)",
-            m.label,
-            fmt_rate(m.rate(1.0)),
-            m.per_iter_secs() * 1e9
-        );
-    }
-
-    pub fn main() {
-        let mut cache = Cache::new(CacheConfig::paper_l2_256k());
-        cache.access(0x1000, false);
-        report(measure("cache/l2_access_hit", 0.5, || {
-            std::hint::black_box(cache.access(0x1000, false));
-        }));
-
-        let mut cache = Cache::new(CacheConfig::paper_l2_256k());
-        let mut addr: u32 = 0;
-        report(measure("cache/l2_access_stream", 0.5, || {
-            addr = addr.wrapping_add(64);
-            std::hint::black_box(cache.access(addr, false));
-        }));
-
-        let mut d = Dram::new(DramConfig::paper_reference());
-        let mut now = 0u64;
-        report(measure("dram/access_page_hit", 0.5, || {
-            let r = d.access(0x100, 64, now);
-            now = r.done;
-        }));
-
-        let mut q = AuthQueue::new(AuthQueueConfig::default());
-        let mut t = 0u64;
-        report(measure("auth_queue_request", 0.5, || {
-            t += 50;
-            std::hint::black_box(q.request(t, 0));
-        }));
-
-        let mut ctrl = SecureMemCtrl::new(CtrlConfig::paper_reference());
-        let mut chan = Channel::new(DramConfig::paper_reference());
-        let mut t = 0u64;
-        let mut addr = 0u32;
-        report(measure("secure_fill", 0.5, || {
-            t += 200;
-            addr = addr.wrapping_add(64);
-            std::hint::black_box(ctrl.fill(
-                FillRequest {
-                    line_addr: addr,
-                    demand_addr: addr,
-                    bytes: 64,
-                    kind: AccessKind::Load,
-                    now: t,
-                    bus_not_before: 0,
-                },
-                &mut chan,
-            ));
-        }));
-
-        let mut obf = Obfuscator::new(ObfConfig::paper_reference(0, 1 << 14));
-        let mut chan = Channel::new(DramConfig::paper_reference());
-        let mut t = 0u64;
-        let mut addr = 0u32;
-        report(measure("obf_lookup", 0.5, || {
-            t += 100;
-            addr = (addr + 64) & ((1 << 20) - 1);
-            std::hint::black_box(obf.lookup(addr, t, &mut chan));
-        }));
-    }
 }
 
 fn main() {
-    #[cfg(feature = "criterion")]
-    with_criterion::main();
-    #[cfg(not(feature = "criterion"))]
-    plain::main();
+    let mut cache = Cache::new(CacheConfig::paper_l2_256k());
+    cache.access(0x1000, false);
+    report(measure("cache/l2_access_hit", 0.5, || {
+        std::hint::black_box(cache.access(0x1000, false));
+    }));
+
+    let mut cache = Cache::new(CacheConfig::paper_l2_256k());
+    let mut addr: u32 = 0;
+    report(measure("cache/l2_access_stream", 0.5, || {
+        addr = addr.wrapping_add(64);
+        std::hint::black_box(cache.access(addr, false));
+    }));
+
+    let mut d = Dram::new(DramConfig::paper_reference());
+    let mut now = 0u64;
+    report(measure("dram/access_page_hit", 0.5, || {
+        let r = d.access(0x100, 64, now);
+        now = r.done;
+    }));
+
+    let mut q = AuthQueue::new(AuthQueueConfig::default());
+    let mut t = 0u64;
+    report(measure("auth_queue_request", 0.5, || {
+        t += 50;
+        std::hint::black_box(q.request(t, 0));
+    }));
+
+    let mut ctrl = SecureMemCtrl::new(CtrlConfig::paper_reference());
+    let mut chan = Channel::new(DramConfig::paper_reference());
+    let mut t = 0u64;
+    let mut addr = 0u32;
+    report(measure("secure_fill", 0.5, || {
+        t += 200;
+        addr = addr.wrapping_add(64);
+        std::hint::black_box(ctrl.fill(
+            FillRequest {
+                line_addr: addr,
+                demand_addr: addr,
+                bytes: 64,
+                kind: AccessKind::Load,
+                now: t,
+                bus_not_before: 0,
+            },
+            &mut chan,
+        ));
+    }));
+
+    let mut obf = Obfuscator::new(ObfConfig::paper_reference(0, 1 << 14));
+    let mut chan = Channel::new(DramConfig::paper_reference());
+    let mut t = 0u64;
+    let mut addr = 0u32;
+    report(measure("obf_lookup", 0.5, || {
+        t += 100;
+        addr = (addr + 64) & ((1 << 20) - 1);
+        std::hint::black_box(obf.lookup(addr, t, &mut chan));
+    }));
 }

@@ -1,136 +1,49 @@
 //! Microbenchmarks for the cryptographic substrate — the functional
 //! engines the secure processor's latency model stands in for.
-//!
-//! Offline builds (the default) use a plain `std::time` harness; enable
-//! the `criterion` feature (and restore the criterion dev-dependency —
-//! see Cargo.toml) for the statistical harness.
 
-#[cfg(feature = "criterion")]
-mod with_criterion {
-    use criterion::{black_box, criterion_group, Criterion, Throughput};
-    use secsim_core::MerkleTree;
-    use secsim_crypto::{Aes, CbcMac, CtrKeystream, HmacSha256, Sha256};
+use secsim_bench::timing::{fmt_rate, measure};
+use secsim_core::MerkleTree;
+use secsim_crypto::{Aes, CbcMac, CtrKeystream, HmacSha256, Sha256};
 
-    fn bench_aes(c: &mut Criterion) {
-        let mut g = c.benchmark_group("aes");
-        g.throughput(Throughput::Bytes(16));
-        let aes128 = Aes::new_128(&[7; 16]);
-        g.bench_function("encrypt_block_128", |b| {
-            let mut block = [0u8; 16];
-            b.iter(|| {
-                aes128.encrypt_block(black_box(&mut block));
-            })
-        });
-        let aes256 = Aes::new_256(&[7; 32]);
-        g.bench_function("encrypt_block_256", |b| {
-            let mut block = [0u8; 16];
-            b.iter(|| {
-                aes256.encrypt_block(black_box(&mut block));
-            })
-        });
-        g.finish();
-    }
-
-    fn bench_hashes(c: &mut Criterion) {
-        let mut g = c.benchmark_group("mac");
-        let line = [0xA5u8; 64];
-        g.throughput(Throughput::Bytes(64));
-        g.bench_function("sha256_line", |b| b.iter(|| Sha256::digest(black_box(&line))));
-        let hmac = HmacSha256::new(b"bench-key");
-        g.bench_function("hmac_line_truncated", |b| {
-            b.iter(|| hmac.compute_truncated(black_box(&line)))
-        });
-        let cbc = CbcMac::new(Aes::new_128(&[3; 16]));
-        g.bench_function("cbcmac_line", |b| b.iter(|| cbc.compute_truncated(black_box(&line))));
-        g.finish();
-    }
-
-    fn bench_ctr(c: &mut Criterion) {
-        let mut g = c.benchmark_group("ctr");
-        g.throughput(Throughput::Bytes(64));
-        let ks = CtrKeystream::new(Aes::new_128(&[1; 16]));
-        g.bench_function("encrypt_line", |b| {
-            let mut line = [0u8; 64];
-            b.iter(|| ks.apply(black_box(0x8000), black_box(5), &mut line))
-        });
-        g.finish();
-    }
-
-    fn bench_merkle(c: &mut Criterion) {
-        let data = vec![0x5Au8; 256 * 64]; // 256 lines
-        let tree = MerkleTree::build(&data, 64, 8, b"tree");
-        let mut g = c.benchmark_group("merkle");
-        g.bench_function("verify_leaf_256", |b| {
-            b.iter(|| tree.verify_leaf(black_box(&data[0..64]), black_box(0)))
-        });
-        let mut tree2 = tree.clone();
-        g.bench_function("update_leaf_256", |b| {
-            b.iter(|| tree2.update_leaf(black_box(3), black_box(&data[0..64])))
-        });
-        g.finish();
-    }
-
-    criterion_group!(benches, bench_aes, bench_hashes, bench_ctr, bench_merkle);
-
-    pub fn main() {
-        benches();
-        Criterion::default().configure_from_args().final_summary();
-    }
-}
-
-#[cfg(not(feature = "criterion"))]
-mod plain {
-    use secsim_bench::timing::{fmt_rate, measure};
-    use secsim_core::MerkleTree;
-    use secsim_crypto::{Aes, CbcMac, CtrKeystream, HmacSha256, Sha256};
-
-    fn report_bytes(label: &str, bytes: u64, f: impl FnMut()) {
-        let m = measure(label, 0.5, f);
-        println!(
-            "{:28} {:>12}  ({:.1} ns/op)",
-            m.label,
-            fmt_rate(m.rate(bytes as f64)),
-            m.per_iter_secs() * 1e9
-        );
-    }
-
-    pub fn main() {
-        let aes128 = Aes::new_128(&[7; 16]);
-        let mut block = [0u8; 16];
-        report_bytes("aes/encrypt_block_128", 16, || aes128.encrypt_block(&mut block));
-        let aes256 = Aes::new_256(&[7; 32]);
-        report_bytes("aes/encrypt_block_256", 16, || aes256.encrypt_block(&mut block));
-
-        let line = [0xA5u8; 64];
-        report_bytes("mac/sha256_line", 64, || {
-            Sha256::digest(std::hint::black_box(&line));
-        });
-        let hmac = HmacSha256::new(b"bench-key");
-        report_bytes("mac/hmac_line_truncated", 64, || {
-            std::hint::black_box(hmac.compute_truncated(&line));
-        });
-        let cbc = CbcMac::new(Aes::new_128(&[3; 16]));
-        report_bytes("mac/cbcmac_line", 64, || {
-            std::hint::black_box(cbc.compute_truncated(&line));
-        });
-
-        let ks = CtrKeystream::new(Aes::new_128(&[1; 16]));
-        let mut ctline = [0u8; 64];
-        report_bytes("ctr/encrypt_line", 64, || ks.apply(0x8000, 5, &mut ctline));
-
-        let data = vec![0x5Au8; 256 * 64]; // 256 lines
-        let tree = MerkleTree::build(&data, 64, 8, b"tree");
-        report_bytes("merkle/verify_leaf_256", 64, || {
-            std::hint::black_box(tree.verify_leaf(&data[0..64], 0));
-        });
-        let mut tree2 = tree.clone();
-        report_bytes("merkle/update_leaf_256", 64, || tree2.update_leaf(3, &data[0..64]));
-    }
+fn report_bytes(label: &str, bytes: u64, f: impl FnMut()) {
+    let m = measure(label, 0.5, f);
+    println!(
+        "{:28} {:>12}  ({:.1} ns/op)",
+        m.label,
+        fmt_rate(m.rate(bytes as f64)),
+        m.per_iter_secs() * 1e9
+    );
 }
 
 fn main() {
-    #[cfg(feature = "criterion")]
-    with_criterion::main();
-    #[cfg(not(feature = "criterion"))]
-    plain::main();
+    let aes128 = Aes::new_128(&[7; 16]);
+    let mut block = [0u8; 16];
+    report_bytes("aes/encrypt_block_128", 16, || aes128.encrypt_block(&mut block));
+    let aes256 = Aes::new_256(&[7; 32]);
+    report_bytes("aes/encrypt_block_256", 16, || aes256.encrypt_block(&mut block));
+
+    let line = [0xA5u8; 64];
+    report_bytes("mac/sha256_line", 64, || {
+        Sha256::digest(std::hint::black_box(&line));
+    });
+    let hmac = HmacSha256::new(b"bench-key");
+    report_bytes("mac/hmac_line_truncated", 64, || {
+        std::hint::black_box(hmac.compute_truncated(&line));
+    });
+    let cbc = CbcMac::new(Aes::new_128(&[3; 16]));
+    report_bytes("mac/cbcmac_line", 64, || {
+        std::hint::black_box(cbc.compute_truncated(&line));
+    });
+
+    let ks = CtrKeystream::new(Aes::new_128(&[1; 16]));
+    let mut ctline = [0u8; 64];
+    report_bytes("ctr/encrypt_line", 64, || ks.apply(0x8000, 5, &mut ctline));
+
+    let data = vec![0x5Au8; 256 * 64]; // 256 lines
+    let tree = MerkleTree::build(&data, 64, 8, b"tree");
+    report_bytes("merkle/verify_leaf_256", 64, || {
+        std::hint::black_box(tree.verify_leaf(&data[0..64], 0));
+    });
+    let mut tree2 = tree.clone();
+    report_bytes("merkle/update_leaf_256", 64, || tree2.update_leaf(3, &data[0..64]));
 }

@@ -1,117 +1,44 @@
 //! End-to-end benchmarks: simulated instructions per second of
 //! wall-clock for representative workloads and policies, plus the cost
 //! of one full exploit run.
-//!
-//! Offline builds (the default) use a plain `std::time` harness; enable
-//! the `criterion` feature (and restore the criterion dev-dependency —
-//! see Cargo.toml) for the statistical harness.
 
-#[cfg(feature = "criterion")]
-mod with_criterion {
-    use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-    use secsim_attack::{run_exploit, Exploit};
-    use secsim_core::Policy;
-    use secsim_cpu::{SimConfig, SimSession};
-    use secsim_workloads::BenchId;
+use secsim_attack::{run_exploit, Exploit};
+use secsim_bench::timing::{fmt_rate, measure};
+use secsim_core::Policy;
+use secsim_cpu::{SimConfig, SimSession};
+use secsim_workloads::BenchId;
 
-    const INSTS: u64 = 30_000;
-
-    fn bench_simulate(c: &mut Criterion) {
-        let mut g = c.benchmark_group("simulate_30k");
-        g.throughput(Throughput::Elements(INSTS));
-        g.sample_size(10);
-        for bench in [BenchId::Gzip, BenchId::Mcf, BenchId::Swim] {
-            for (label, policy) in [
-                ("baseline", Policy::baseline()),
-                ("issue", Policy::authen_then_issue()),
-                ("commit+fetch", Policy::commit_plus_fetch()),
-            ] {
-                g.bench_with_input(
-                    BenchmarkId::new(bench.name(), label),
-                    &policy,
-                    |b, &policy| {
-                        let w = bench.build(11);
-                        let mut cfg = SimConfig::paper_256k(policy).with_max_insts(INSTS);
-                        cfg.secure =
-                            cfg.secure.with_protected_region(w.data_base, w.data_bytes);
-                        b.iter(|| {
-                            let mut m = w.mem.clone();
-                            SimSession::new(&cfg).run(&mut m, w.entry).into_report()
-                        })
-                    },
-                );
-            }
-        }
-        g.finish();
-    }
-
-    fn bench_exploit(c: &mut Criterion) {
-        let mut g = c.benchmark_group("exploit");
-        g.sample_size(10);
-        g.bench_function("pointer_conversion_commit", |b| {
-            b.iter(|| run_exploit(Exploit::PointerConversion, Policy::authen_then_commit()))
-        });
-        g.bench_function("disclosing_kernel_issue", |b| {
-            b.iter(|| run_exploit(Exploit::DisclosingKernel, Policy::authen_then_issue()))
-        });
-        g.finish();
-    }
-
-    criterion_group!(benches, bench_simulate, bench_exploit);
-
-    pub fn main() {
-        benches();
-        Criterion::default().configure_from_args().final_summary();
-    }
-}
-
-#[cfg(not(feature = "criterion"))]
-mod plain {
-    use secsim_attack::{run_exploit, Exploit};
-    use secsim_bench::timing::{fmt_rate, measure};
-    use secsim_core::Policy;
-    use secsim_cpu::{SimConfig, SimSession};
-    use secsim_workloads::BenchId;
-
-    const INSTS: u64 = 30_000;
-
-    pub fn main() {
-        for bench in [BenchId::Gzip, BenchId::Mcf, BenchId::Swim] {
-            for (label, policy) in [
-                ("baseline", Policy::baseline()),
-                ("issue", Policy::authen_then_issue()),
-                ("commit+fetch", Policy::commit_plus_fetch()),
-            ] {
-                let w = bench.build(11);
-                let mut cfg = SimConfig::paper_256k(policy).with_max_insts(INSTS);
-                cfg.secure = cfg.secure.with_protected_region(w.data_base, w.data_bytes);
-                let m = measure(&format!("simulate_30k/{bench}/{label}"), 1.0, || {
-                    let mut mem = w.mem.clone();
-                    SimSession::new(&cfg).run(&mut mem, w.entry);
-                });
-                println!(
-                    "{:40} {:>12} simulated insts/s  ({:.2} ms/run)",
-                    m.label,
-                    fmt_rate(m.rate(INSTS as f64)),
-                    m.per_iter_secs() * 1e3
-                );
-            }
-        }
-        for (label, exploit, policy) in [
-            ("pointer_conversion_commit", Exploit::PointerConversion, Policy::authen_then_commit()),
-            ("disclosing_kernel_issue", Exploit::DisclosingKernel, Policy::authen_then_issue()),
-        ] {
-            let m = measure(&format!("exploit/{label}"), 1.0, || {
-                run_exploit(exploit, policy);
-            });
-            println!("{:40} {:>12.2} ms/run", m.label, m.per_iter_secs() * 1e3);
-        }
-    }
-}
+const INSTS: u64 = 30_000;
 
 fn main() {
-    #[cfg(feature = "criterion")]
-    with_criterion::main();
-    #[cfg(not(feature = "criterion"))]
-    plain::main();
+    for bench in [BenchId::Gzip, BenchId::Mcf, BenchId::Swim] {
+        for (label, policy) in [
+            ("baseline", Policy::baseline()),
+            ("issue", Policy::authen_then_issue()),
+            ("commit+fetch", Policy::commit_plus_fetch()),
+        ] {
+            let w = bench.build(11);
+            let mut cfg = SimConfig::paper_256k(policy).with_max_insts(INSTS);
+            cfg.secure = cfg.secure.with_protected_region(w.data_base, w.data_bytes);
+            let m = measure(&format!("simulate_30k/{bench}/{label}"), 1.0, || {
+                let mut mem = w.mem.clone();
+                SimSession::new(&cfg).run(&mut mem, w.entry);
+            });
+            println!(
+                "{:40} {:>12} simulated insts/s  ({:.2} ms/run)",
+                m.label,
+                fmt_rate(m.rate(INSTS as f64)),
+                m.per_iter_secs() * 1e3
+            );
+        }
+    }
+    for (label, exploit, policy) in [
+        ("pointer_conversion_commit", Exploit::PointerConversion, Policy::authen_then_commit()),
+        ("disclosing_kernel_issue", Exploit::DisclosingKernel, Policy::authen_then_issue()),
+    ] {
+        let m = measure(&format!("exploit/{label}"), 1.0, || {
+            run_exploit(exploit, policy);
+        });
+        println!("{:40} {:>12.2} ms/run", m.label, m.per_iter_secs() * 1e3);
+    }
 }

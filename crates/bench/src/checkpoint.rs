@@ -18,6 +18,16 @@
 //! fast-forwarded from scratch — the invariant the checkpoint
 //! determinism tests pin.
 //!
+//! A restore is one copy: the fixed-size header is read onto the stack
+//! and checked against the target image (magic, version, halt flag,
+//! base, length) before anything is written, then the memory payload is
+//! read from the file straight into the image's own bytes. No
+//! intermediate buffer or second image is allocated. Because a valid
+//! checkpoint overwrites every byte, the image it lands in needs no
+//! pristine rewind first; the image is rewound to the pristine workload
+//! only when a restore fails after writing into it (a torn payload or
+//! trailing bytes), and then fast-forwarded afresh.
+//!
 //! Timing state is deliberately **not** checkpointed: caches, branch
 //! predictor, and MAC queue start cold either way, exactly as they do
 //! in a cold run, so checkpoints can never change a report.
@@ -45,7 +55,8 @@
 use secsim_isa::{step, ArchState, FReg, FlatMem, Reg};
 use secsim_stats::{StableHash, StableHasher};
 use secsim_workloads::{BenchId, Workload};
-use std::fs;
+use std::fs::{self, File};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Salt for every checkpoint key and the on-disk format version. Bump
@@ -55,6 +66,11 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 
 /// File magic: identifies a secsim checkpoint regardless of version.
 const MAGIC: &[u8; 8] = b"SSIMCKPT";
+
+/// Bytes before the memory payload: magic, version, PC, halt flag,
+/// instruction count, 32 integer and 32 FP registers, image base,
+/// out-of-bounds count, payload length.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 4 + 1 + 8 + 32 * 4 + 32 * 8 + 4 + 8 + 8;
 
 /// Stable checkpoint key: a fingerprint of
 /// `(CHECKPOINT_VERSION, bench, seed, warmup_insts)`. Identical across
@@ -102,7 +118,7 @@ pub fn fast_forward(mem: &mut FlatMem, entry: u32, warmup_insts: u64) -> ArchSta
 /// Serializes a warmup snapshot: fixed-width little-endian fields, no
 /// framing dependencies, fully self-describing via magic + version.
 pub fn to_bytes(state: &ArchState, mem: &FlatMem) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 4 + 4 + 1 + 8 + 32 * 4 + 32 * 8 + 4 + 8 + 8 + mem.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + mem.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
     out.extend_from_slice(&state.pc.to_le_bytes());
@@ -121,10 +137,17 @@ pub fn to_bytes(state: &ArchState, mem: &FlatMem) -> Vec<u8> {
     out
 }
 
-/// Parses a snapshot serialized by [`to_bytes`]. `None` on any
-/// malformation — wrong magic, unknown version, or truncation — so a
-/// torn or stale file degrades to a fresh fast-forward, never a panic.
-pub fn from_bytes(bytes: &[u8]) -> Option<(ArchState, FlatMem)> {
+/// The fixed-size fields in front of a snapshot's memory payload.
+struct Header {
+    state: ArchState,
+    base: u32,
+    oob: u64,
+    len: u64,
+}
+
+/// Parses the header of a snapshot serialized by [`to_bytes`]. `None`
+/// on a wrong magic, an unknown version or a halt flag other than 0/1.
+fn parse_header(bytes: &[u8; HEADER_LEN]) -> Option<Header> {
     let mut cur = Cursor { bytes, pos: 0 };
     if cur.take(MAGIC.len())? != MAGIC {
         return None;
@@ -152,41 +175,97 @@ pub fn from_bytes(bytes: &[u8]) -> Option<(ArchState, FlatMem)> {
     }
     let base = cur.u32()?;
     let oob = cur.u64()?;
-    let len = cur.u64()? as usize;
-    let data = cur.take(len)?;
-    if cur.pos != bytes.len() {
-        return None; // trailing garbage: treat as corrupt
+    let len = cur.u64()?;
+    Some(Header { state, base, oob, len })
+}
+
+/// Parses a snapshot serialized by [`to_bytes`]. `None` on any
+/// malformation — wrong magic, unknown version, truncation or trailing
+/// bytes — so a torn or stale file degrades to a fresh fast-forward,
+/// never a panic.
+pub fn from_bytes(bytes: &[u8]) -> Option<(ArchState, FlatMem)> {
+    let (head, data) = bytes.split_first_chunk::<HEADER_LEN>()?;
+    let h = parse_header(head)?;
+    if data.len() as u64 != h.len {
+        return None;
     }
-    let mut mem = FlatMem::new(base, len);
+    let mut mem = FlatMem::new(h.base, data.len());
     mem.as_bytes_mut().copy_from_slice(data);
-    mem.set_oob_count(oob);
-    Some((state, mem))
+    mem.set_oob_count(h.oob);
+    Some((h.state, mem))
+}
+
+/// Why [`read_into`] restored nothing.
+#[derive(Debug, PartialEq, Eq)]
+enum Miss {
+    /// The image was not written: no file, a short or malformed header,
+    /// or a header that does not fit the image.
+    Untouched,
+    /// The payload was read into the image but the file turned out
+    /// short or overlong, so the image holds neither its old contents
+    /// nor a valid snapshot.
+    Torn,
+}
+
+/// Restores the snapshot at `path` into `mem` in place: the header is
+/// read onto the stack and checked against `mem`'s base and length
+/// before a byte is written, then the payload is read straight into
+/// `mem`'s bytes and the file must end there.
+fn read_into(path: &Path, mem: &mut FlatMem) -> Result<ArchState, Miss> {
+    let mut file = File::open(path).map_err(|_| Miss::Untouched)?;
+    let mut head = [0; HEADER_LEN];
+    file.read_exact(&mut head).map_err(|_| Miss::Untouched)?;
+    let h = parse_header(&head).ok_or(Miss::Untouched)?;
+    if h.base != mem.base() || h.len != mem.len() as u64 {
+        return Err(Miss::Untouched);
+    }
+    let torn = file.read_exact(mem.as_bytes_mut()).is_err();
+    if torn || file.read(&mut [0]).map_or(true, |n| n != 0) {
+        return Err(Miss::Torn);
+    }
+    mem.set_oob_count(h.oob);
+    Ok(h.state)
 }
 
 /// Fast-forwards `w` by `warmup_insts` instructions through the
-/// checkpoint store and returns the warm start state: a valid on-disk
-/// snapshot is restored in place (one straight copy into the image), a
-/// miss fast-forwards functionally and persists the result for the rest
-/// of the grid. `warmup_insts == 0` is a cold start and touches neither
-/// the image nor the store.
+/// checkpoint store and returns the warm start state. `w` must hold the
+/// pristine image of `(bench, seed)`. A valid on-disk snapshot is read
+/// straight into the image (one copy, from the file into the image's
+/// bytes); a miss fast-forwards functionally and persists the result
+/// for the rest of the grid. A snapshot that fails after its payload
+/// was read into the image rewinds the image to the pristine workload
+/// before that fast-forward; every other miss leaves the image as it
+/// was. `warmup_insts == 0` is a cold start and touches neither the
+/// image nor the store.
 ///
 /// Store I/O is best-effort: an unreadable entry or unwritable
 /// directory silently degrades to the fresh path. Writes go through a
 /// per-process temporary file renamed into place, so concurrent sweep
 /// workers never observe a torn checkpoint.
 pub fn warm_start(bench: BenchId, seed: u64, warmup_insts: u64, w: &mut Workload) -> ArchState {
+    warm_start_over(bench, seed, warmup_insts, w, true)
+}
+
+/// [`warm_start`] over an image that need not be pristine when
+/// `pristine` is false: a valid snapshot overwrites every byte anyway,
+/// and any miss rewinds the image to the pristine workload before it
+/// fast-forwards.
+pub(crate) fn warm_start_over(
+    bench: BenchId,
+    seed: u64,
+    warmup_insts: u64,
+    w: &mut Workload,
+    pristine: bool,
+) -> ArchState {
     if warmup_insts == 0 {
         return ArchState::new(w.entry);
     }
     let path = checkpoints_dir()
         .join(format!("{:016x}.ckpt", checkpoint_key(bench, seed, warmup_insts)));
-    if let Ok(bytes) = fs::read(&path) {
-        if let Some((state, mem)) = from_bytes(&bytes) {
-            if mem.base() == w.mem.base() && mem.len() == w.mem.len() {
-                w.mem.restore_from(&mem);
-                return state;
-            }
-        }
+    match read_into(&path, &mut w.mem) {
+        Ok(state) => return state,
+        Err(Miss::Untouched) if pristine => {}
+        Err(_) => crate::rewind_to_pristine(bench, seed, &mut w.mem),
     }
     let state = fast_forward(&mut w.mem, w.entry, warmup_insts);
     save_atomic(&path, &to_bytes(&state, &w.mem));
@@ -276,6 +355,11 @@ mod tests {
         assert!(mem2.oob_count() >= 1);
     }
 
+    /// The truncation cut points both readers are run over.
+    fn cuts(len: usize) -> [usize; 7] {
+        [0, 4, MAGIC.len(), MAGIC.len() + 3, HEADER_LEN, len / 2, len - 1]
+    }
+
     #[test]
     fn malformed_snapshots_are_rejected_not_panicking() {
         let (mut mem, entry) = program();
@@ -283,7 +367,7 @@ mod tests {
         let good = to_bytes(&st, &mem);
         assert!(from_bytes(&good).is_some());
         // Truncations at every prefix length fail cleanly.
-        for cut in [0, 4, MAGIC.len(), MAGIC.len() + 3, good.len() / 2, good.len() - 1] {
+        for cut in cuts(good.len()) {
             assert!(from_bytes(&good[..cut]).is_none(), "cut={cut}");
         }
         // Wrong magic.
@@ -298,6 +382,43 @@ mod tests {
         let mut bad = good.clone();
         bad.push(0);
         assert!(from_bytes(&bad).is_none());
+    }
+
+    #[test]
+    fn streaming_reader_restores_in_place_and_rejects_truncation() {
+        let (mut mem, entry) = program();
+        let st = fast_forward(&mut mem, entry, 9);
+        let good = to_bytes(&st, &mem);
+        let path =
+            std::env::temp_dir().join(format!("secsim-ckpt-reader-{}.ckpt", std::process::id()));
+        let pristine = program().0;
+        let read = |bytes: &[u8], target: &mut FlatMem| {
+            fs::write(&path, bytes).unwrap();
+            read_into(&path, target)
+        };
+
+        let mut target = pristine.clone();
+        assert_eq!(read(&good, &mut target), Ok(st));
+        assert_eq!(target, mem);
+        // A cut inside the header leaves the image untouched; a cut in
+        // the payload, or a trailing byte, is reported as torn.
+        for cut in cuts(good.len()) {
+            let mut target = pristine.clone();
+            let miss = if cut < HEADER_LEN { Miss::Untouched } else { Miss::Torn };
+            assert_eq!(read(&good[..cut], &mut target), Err(miss), "cut={cut}");
+            if cut < HEADER_LEN {
+                assert_eq!(target, pristine, "cut={cut} wrote into the image");
+            }
+        }
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert_eq!(read(&trailing, &mut pristine.clone()), Err(Miss::Torn));
+        // A snapshot of an image of another size is rejected unread.
+        let mut other = FlatMem::new(0x1000, 1 << 12);
+        assert_eq!(read(&good, &mut other), Err(Miss::Untouched));
+        assert_eq!(other, FlatMem::new(0x1000, 1 << 12));
+        let _ = fs::remove_file(&path);
+        assert_eq!(read_into(&path, &mut pristine.clone()), Err(Miss::Untouched), "no file");
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub use store::{ResultStore, StoreCounters};
 pub use sweep::{Sweep, SweepError, SweepPoint, SweepStats, CACHE_VERSION};
 
 use secsim_core::{Policy, SecureConfig};
-use secsim_cpu::{CpuConfig, SimConfig, SimReport, SimSession};
+use secsim_cpu::{CpuConfig, SimConfig, SimOutcome, SimReport, SimSession};
+use secsim_isa::FlatMem;
 use secsim_mem::MemSystemConfig;
 use secsim_stats::{FastMap, Table};
 use secsim_workloads::{BenchId, Workload};
@@ -156,9 +157,25 @@ fn workload_memo() -> &'static Mutex<FastMap<(BenchId, u64), Workload>> {
 
 /// Runs `f` over a pristine workload image for `(bench, seed)` without
 /// cloning a fresh image per run: each thread keeps a scratch copy that
-/// is restored in place from the pristine memo (one straight copy into
+/// is rewound in place from the pristine memo (one straight copy into
 /// already-faulted pages) before `f` sees it.
+///
+/// Warm points of [`run_bench`] and [`Sweep`] skip that rewind: their
+/// checkpoint restore overwrites every byte of the scratch copy, so it
+/// is rewound only when the restore fails (see [`checkpoint`]).
 pub fn with_workload<R>(bench: BenchId, seed: u64, f: impl FnOnce(&mut Workload) -> R) -> R {
+    with_scratch(bench, seed, true, f)
+}
+
+/// [`with_workload`], rewinding a reused scratch copy only when
+/// `rewind` is set; otherwise `f` sees whatever the thread's last run
+/// of `(bench, seed)` left in it.
+fn with_scratch<R>(
+    bench: BenchId,
+    seed: u64,
+    rewind: bool,
+    f: impl FnOnce(&mut Workload) -> R,
+) -> R {
     use std::collections::hash_map::Entry;
     thread_local! {
         static SCRATCH: std::cell::RefCell<FastMap<(BenchId, u64), Workload>> =
@@ -169,11 +186,8 @@ pub fn with_workload<R>(bench: BenchId, seed: u64, f: impl FnOnce(&mut Workload)
         match map.entry((bench, seed)) {
             Entry::Occupied(e) => {
                 let w = e.into_mut();
-                {
-                    let memo = workload_memo().lock().expect("workload memo poisoned");
-                    let pristine =
-                        memo.get(&(bench, seed)).expect("scratch entry implies memo entry");
-                    w.mem.restore_from(&pristine.mem);
+                if rewind {
+                    rewind_to_pristine(bench, seed, &mut w.mem);
                 }
                 f(w)
             }
@@ -182,14 +196,31 @@ pub fn with_workload<R>(bench: BenchId, seed: u64, f: impl FnOnce(&mut Workload)
     })
 }
 
+/// Copies the pristine image of `(bench, seed)` over `mem` in place,
+/// building it into the memo first if no run has yet.
+fn rewind_to_pristine(bench: BenchId, seed: u64, mem: &mut FlatMem) {
+    let mut memo = workload_memo().lock().expect("workload memo poisoned");
+    mem.restore_from(&memo.entry((bench, seed)).or_insert_with(|| bench.build(seed)).mem);
+}
+
+/// Runs `session` over the thread's scratch image of `(bench, seed)`,
+/// resumed `warmup_insts` instructions in: the one point runner behind
+/// [`run_bench`], [`Sweep`] and `--trace`. A cold point
+/// (`warmup_insts == 0`) starts from the rewound pristine image; a warm
+/// one skips the rewind and restores its checkpoint over the image.
+fn run_point(bench: BenchId, seed: u64, warmup_insts: u64, session: SimSession<'_>) -> SimOutcome {
+    let cold = warmup_insts == 0;
+    with_scratch(bench, seed, cold, |w| {
+        let start = checkpoint::warm_start_over(bench, seed, warmup_insts, w, cold);
+        session.resume_from(start).run(&mut w.mem, w.entry)
+    })
+}
+
 /// Runs `bench` under `policy` and returns the report. Always
 /// simulates — use [`Sweep`] for the parallel, cached path.
 pub fn run_bench(bench: BenchId, policy: Policy, opts: &RunOpts) -> SimReport {
     let cfg = sim_config_id(bench, policy, opts);
-    with_workload(bench, opts.seed, |w| {
-        let start = checkpoint::warm_start(bench, opts.seed, opts.warmup_insts, w);
-        SimSession::new(&cfg).resume_from(start).run(&mut w.mem, w.entry).into_report()
-    })
+    run_point(bench, opts.seed, opts.warmup_insts, SimSession::new(&cfg)).into_report()
 }
 
 /// Runs `bench` under `policy` and the decrypt-only baseline, returning

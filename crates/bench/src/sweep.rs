@@ -172,11 +172,8 @@ impl SweepPoint {
 
     fn run(&self) -> Result<SimReport, SweepError> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::with_workload(self.bench, self.seed, |w| {
-                let start =
-                    crate::checkpoint::warm_start(self.bench, self.seed, self.warmup_insts, w);
-                SimSession::new(&self.cfg).resume_from(start).run(&mut w.mem, w.entry).into_report()
-            })
+            crate::run_point(self.bench, self.seed, self.warmup_insts, SimSession::new(&self.cfg))
+                .into_report()
         }))
         .map_err(|payload| {
             let detail = payload
@@ -619,14 +616,8 @@ impl Sweep {
 /// Re-runs `p` with event tracing on and writes the Chrome
 /// `trace_event` JSON to `path` (the `--trace FILE` backend).
 fn write_chrome_trace(p: &SweepPoint, path: &Path) {
-    let run = crate::with_workload(p.bench, p.seed, |w| {
-        let start = crate::checkpoint::warm_start(p.bench, p.seed, p.warmup_insts, w);
-        SimSession::new(&p.cfg)
-            .resume_from(start)
-            .trace(TraceConfig::default())
-            .run(&mut w.mem, w.entry)
-            .into_run()
-    });
+    let session = SimSession::new(&p.cfg).trace(TraceConfig::default());
+    let run = crate::run_point(p.bench, p.seed, p.warmup_insts, session).into_run();
     let Some(trace) = run.trace else { return };
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {

@@ -1,5 +1,5 @@
-//! Criterion-free wall-clock measurement: the offline substitute for the
-//! optional criterion harness used by `benches/` and the `perf` binary.
+//! Dependency-free wall-clock measurement for the `benches/`
+//! microbenchmarks (`cargo bench -p secsim-bench`).
 //!
 //! # Examples
 //!

@@ -1,7 +1,7 @@
 //! A minimal JSON value type with parser and renderer.
 //!
-//! The result cache persists [`SimReport`]s to disk and
-//! `perf_baseline.json` records throughput measurements; both need JSON
+//! The result cache persists [`SimReport`]s to disk and the job
+//! server's wire protocol is line-delimited JSON; both need JSON
 //! without pulling `serde` into an offline-only build. This module
 //! implements exactly the subset the workspace produces: objects,
 //! arrays, strings (with `\uXXXX` escapes), `u64`/`i64`-exact integers,

@@ -16,11 +16,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== docs (rustdoc, warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "== perf smoke: throughput gate vs recorded 'observability' label =="
-# Reads the tracked results/perf_baseline.json (so it must run before
-# SECSIM_RESULTS is redirected below); read-only — the gate records
-# nothing. Fails on >10% insts/sec regression in any measured case.
-./target/release/perf --smoke --compare observability
+echo "== bench smoke: one short checked perfbench run per workload =="
+# Builds perfbench into .bench_build/ and runs each workload for 2 s in
+# a scratch dir; fails on any incorrect op. Timings are not gated.
+scripts/bench_smoke.sh
 
 echo "== sweep smoke: fresh run, then cache hit =="
 SMOKE_RESULTS="$(mktemp -d)"
@@ -34,6 +33,10 @@ export SECSIM_INSTS=20000
 cmp "$SMOKE_RESULTS/fresh.txt" "$SMOKE_RESULTS/cached.txt" || {
     echo "FAIL: cached sweep output differs from fresh run"; exit 1; }
 echo "cached output byte-identical to fresh run"
+
+echo "== reproduction gate: every paper claim, from an empty results dir =="
+# Fixed instruction budgets of its own; exits non-zero on any FAIL.
+SECSIM_RESULTS="$SMOKE_RESULTS/repro" ./target/release/verify_repro
 
 echo "== asm smoke: assemble examples/*.sasm, diff vs golden .sprog, run baseline+commit =="
 ./target/release/asm --smoke
