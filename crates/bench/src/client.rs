@@ -20,9 +20,9 @@
 //!   timeouts) reconnect and send `resume {job, since_seq}` — the
 //!   server replays only the missed events, identified by their
 //!   monotone sequence numbers; duplicates are skipped client-side.
-//! * **`resume-too-old` / `unknown-job`** fall back to resubmission;
-//!   the server dedups the submission by content hash, so the job is
-//!   never executed twice.
+//! * **`resume-too-old` / `resume-past-end` / `unknown-job`** fall
+//!   back to resubmission; the server dedups the submission by content
+//!   hash, so the job is never executed twice.
 //! * **Read timeouts** ([`RetryPolicy::read_timeout`]) turn a silently
 //!   wedged connection (a black-holed socket, a dead server) into a
 //!   typed [`ClientError::Timeout`] and a reconnect instead of blocking
@@ -354,7 +354,10 @@ fn drive(
                                 ClientError::Server { code, detail, retry_after_ms };
                             break;
                         }
-                        c if c == codes::RESUME_TOO_OLD || c == codes::UNKNOWN_JOB => {
+                        c if c == codes::RESUME_TOO_OLD
+                            || c == codes::RESUME_PAST_END
+                            || c == codes::UNKNOWN_JOB =>
+                        {
                             // The resume cursor is stale; fall back to
                             // resubmission (dedup keeps it exactly-once).
                             failures += 1;

@@ -102,6 +102,11 @@ pub mod codes {
     /// A `resume` asked for events older than the job's bounded
     /// retained-events buffer still holds; the client must resubmit.
     pub const RESUME_TOO_OLD: &str = "resume-too-old";
+    /// A `resume` cursor at or past the job's next sequence number: it
+    /// names events the job never sent (a cursor from an earlier server
+    /// run that reused the job id, or a forged one); the client must
+    /// resubmit.
+    pub const RESUME_PAST_END: &str = "resume-past-end";
 }
 
 /// A parse/validation failure: a typed code plus a human detail,

@@ -67,7 +67,6 @@ mod fingerprint;
 mod observe;
 mod pipeline;
 mod report;
-mod multi;
 mod sched;
 mod session;
 mod trace;
@@ -75,7 +74,6 @@ mod viz;
 
 pub use bpred::{BPredConfig, BranchPredictor};
 pub use config::{CpuConfig, SimConfig};
-pub use multi::{ContextReport, MultiReport, MultiSession};
 pub use observe::RetireRecord;
 pub use pipeline::SecureImage;
 pub use report::{AuthException, ControlEvent, IoEvent, SimReport};

@@ -34,12 +34,14 @@
 //!   and stale `.claim-` files left by crashed processes
 //!   ([`ResultStore::scavenge`]); the counts surface in `status`.
 //!
-//! Lifecycle: [`JobServer::bind`] → [`JobServer::serve`] (accept loop)
-//! → shutdown via a `shutdown` request or SIGINT
-//! ([`install_sigint_handler`]) → the server refuses new jobs, drains
-//! the queue, waits for connected streams to deliver their final
-//! `complete` events (never a bare EOF), flushes its counters and job
-//! timeline under `results/`, and returns.
+//! Lifecycle: [`JobServer::bind`] → [`JobServer::serve`], whose accept
+//! blocks until a client connects, so a connection is served the moment
+//! it arrives → a `shutdown` request, the one stop path (the
+//! `secsim-serve` binary turns SIGINT into one), refuses new jobs and
+//! connects once to the listener to wake the blocked accept → the
+//! server drains the queue, waits for connected streams to deliver
+//! their final `complete` events (never a bare EOF), flushes its
+//! counters and job timeline under `results/`, and returns.
 //!
 //! Every sweep job is bounded by a wall-clock watchdog: points still
 //! missing when the job's deadline passes are reported through the
@@ -52,7 +54,7 @@ use secsim_cpu::SimReport;
 use secsim_stats::{Json, Timeline};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -192,6 +194,9 @@ struct Shared {
     streaming: AtomicUsize,
     /// Cleared when shutdown is requested: no new jobs.
     accepting: AtomicBool,
+    /// [`JobServer::dial_addr`]: where `shutdown` connects to wake the
+    /// blocked accept.
+    wake: SocketAddr,
     active_jobs: AtomicU64,
     jobs_done: AtomicU64,
     next_job: AtomicU64,
@@ -286,31 +291,6 @@ impl Shared {
     }
 }
 
-/// Set by the SIGINT handler; polled by every accept loop.
-static SIGINT_SEEN: AtomicBool = AtomicBool::new(false);
-
-/// Installs a SIGINT handler that asks every running [`JobServer`] to
-/// drain and exit (the Ctrl-C path of graceful shutdown). Std-only: the
-/// C runtime's `signal(2)` is already linked into every Rust binary.
-#[cfg(unix)]
-pub fn install_sigint_handler() {
-    extern "C" fn on_sigint(_: i32) {
-        SIGINT_SEEN.store(true, Ordering::Relaxed);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    let handler = on_sigint as extern "C" fn(i32);
-    unsafe {
-        signal(SIGINT, handler as usize);
-    }
-}
-
-/// No-op off Unix; shutdown remains available via the wire request.
-#[cfg(not(unix))]
-pub fn install_sigint_handler() {}
-
 /// The job server. See the module docs.
 pub struct JobServer {
     listener: TcpListener,
@@ -325,7 +305,13 @@ impl JobServer {
     /// [`serve`](JobServer::serve).
     pub fn bind(cfg: &ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let mut store = ResultStore::new(cfg.store_dir.clone()).with_budget(cfg.store_bytes);
         if let Some(wait) = cfg.claim_wait {
             store = store.with_claim_wait(wait);
@@ -347,6 +333,7 @@ impl JobServer {
             retain_jobs: cfg.retain_jobs.max(1),
             streaming: AtomicUsize::new(0),
             accepting: AtomicBool::new(true),
+            wake,
             active_jobs: AtomicU64::new(0),
             jobs_done: AtomicU64::new(0),
             next_job: AtomicU64::new(0),
@@ -363,10 +350,17 @@ impl JobServer {
         self.listener.local_addr()
     }
 
-    /// Runs the accept loop until a `shutdown` request or SIGINT, then
-    /// drains the queue, joins the workers, waits for in-flight client
-    /// streams to finish, and flushes status + timeline under
-    /// `results/`. Returns the final status object.
+    /// The address a client on this host dials to reach the server:
+    /// [`local_addr`](JobServer::local_addr) with an unspecified bind IP
+    /// (`0.0.0.0`, `::`) mapped to loopback.
+    pub fn dial_addr(&self) -> SocketAddr {
+        self.shared.wake
+    }
+
+    /// Runs the accept loop until a `shutdown` request, then drains the
+    /// queue, joins the workers, waits for in-flight client streams to
+    /// finish, and flushes status + timeline under `results/`. Returns
+    /// the final status object.
     pub fn serve(self) -> std::io::Result<Json> {
         let worker_handles: Vec<_> = (0..self.workers)
             .map(|_| {
@@ -375,22 +369,23 @@ impl JobServer {
             })
             .collect();
 
-        while self.shared.accepting.load(Ordering::Relaxed) {
-            if SIGINT_SEEN.load(Ordering::Relaxed) {
-                self.shared.accepting.store(false, Ordering::Relaxed);
-                break;
-            }
+        // Accept blocks until a client connects; a `shutdown` request
+        // wakes it with a connection of its own after clearing
+        // `accepting` (see handle_connection). Only a failing accept
+        // (EMFILE and the like) backs off, so a persistent error cannot
+        // spin.
+        while self.shared.accepting.load(Ordering::SeqCst) {
             match self.listener.accept() {
-                Ok((stream, _)) => {
+                Ok((stream, _)) if self.shared.accepting.load(Ordering::SeqCst) => {
                     stream.set_nodelay(true).ok();
                     let shared = Arc::clone(&self.shared);
                     std::thread::spawn(move || {
                         let _ = handle_connection(&shared, stream);
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
+                // The shutdown wake, or a client that raced it: closed
+                // like a connection still waiting in the backlog.
+                Ok(_) => {}
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }
@@ -461,33 +456,38 @@ fn worker_loop(shared: &Arc<Shared>) {
         let begin = shared.now_ms();
         let label = kind.label();
         let id = state.id;
-        if catch_unwind(AssertUnwindSafe(|| run_job(shared, &state, &kind))).is_err() {
-            // Last-resort containment: the stream still terminates with
-            // a `complete` so no follower waits forever.
-            shared.push_event(
-                &state,
-                vec![
-                    ("event", Json::Str("complete".into())),
-                    ("job", Json::UInt(id)),
-                    ("ok", Json::UInt(0)),
-                    ("failed", Json::UInt(0)),
-                    ("degraded", Json::Str("job runner panicked".into())),
-                ],
-            );
+        let mut complete = vec![("event", Json::Str("complete".into())), ("job", Json::UInt(id))];
+        match catch_unwind(AssertUnwindSafe(|| run_job(shared, &state, &kind))) {
+            Ok((ok, failed)) => {
+                complete.push(("ok", Json::UInt(ok)));
+                complete.push(("failed", Json::UInt(failed)));
+            }
+            Err(_) => {
+                // Last-resort containment: the stream still terminates
+                // with a `complete` so no follower waits forever.
+                complete.push(("ok", Json::UInt(0)));
+                complete.push(("failed", Json::UInt(0)));
+                complete.push(("degraded", Json::Str("job runner panicked".into())));
+            }
         }
-        shared.finish_job(&state);
         let end = shared.now_ms();
         shared
             .timeline
             .lock()
             .expect("timeline poisoned")
             .push_span("jobs", &format!("{label}#{id}"), begin, end.max(begin + 1));
+        // Count the job before publishing its `complete`: a client that
+        // saw `complete` and then asks `status` must find it done.
         shared.active_jobs.fetch_sub(1, Ordering::Relaxed);
         shared.jobs_done.fetch_add(1, Ordering::Relaxed);
+        shared.push_event(&state, complete);
+        shared.finish_job(&state);
     }
 }
 
-fn run_job(shared: &Arc<Shared>, state: &Arc<JobState>, kind: &JobKind) {
+/// Runs one job's body and returns its `(ok, failed)` counts; the
+/// caller publishes the final `complete` event.
+fn run_job(shared: &Arc<Shared>, state: &Arc<JobState>, kind: &JobKind) -> (u64, u64) {
     shared.push_event(
         state,
         vec![
@@ -529,7 +529,11 @@ fn run_point_isolated(shared: &Arc<Shared>, point: &SweepPoint) -> Result<SimRep
 /// deadline is abandoned (its runner thread still finishes and warms
 /// the store for whoever asks next) and reported as
 /// [`SweepError::Failed`].
-fn run_sweep_job(shared: &Arc<Shared>, state: &Arc<JobState>, points: Arc<Vec<SweepPoint>>) {
+fn run_sweep_job(
+    shared: &Arc<Shared>,
+    state: &Arc<JobState>,
+    points: Arc<Vec<SweepPoint>>,
+) -> (u64, u64) {
     let n = points.len();
     let (ptx, prx) = mpsc::channel::<(usize, Result<SimReport, SweepError>)>();
     let next = Arc::new(AtomicUsize::new(0));
@@ -602,20 +606,17 @@ fn run_sweep_job(shared: &Arc<Shared>, state: &Arc<JobState>, points: Arc<Vec<Sw
             ],
         );
     }
-    shared.push_event(
-        state,
-        vec![
-            ("event", Json::Str("complete".into())),
-            ("job", Json::UInt(state.id)),
-            ("ok", Json::UInt(ok)),
-            ("failed", Json::UInt(failed)),
-        ],
-    );
+    (ok, failed)
 }
 
 /// Executes the fault campaign (8 schemes × 5 integrity kinds) at one
 /// injection cycle; every point already carries its own watchdog.
-fn run_faults_job(shared: &Arc<Shared>, state: &Arc<JobState>, inject: u64, timeout_secs: u64) {
+fn run_faults_job(
+    shared: &Arc<Shared>,
+    state: &Arc<JobState>,
+    inject: u64,
+    timeout_secs: u64,
+) -> (u64, u64) {
     let timeout = Duration::from_secs(timeout_secs.clamp(1, shared.job_timeout.as_secs().max(1)));
     let (mut ok, mut failed) = (0u64, 0u64);
     for kind in faultpoint::integrity_kinds() {
@@ -645,15 +646,7 @@ fn run_faults_job(shared: &Arc<Shared>, state: &Arc<JobState>, inject: u64, time
             shared.push_event(state, pairs);
         }
     }
-    shared.push_event(
-        state,
-        vec![
-            ("event", Json::Str("complete".into())),
-            ("job", Json::UInt(state.id)),
-            ("ok", Json::UInt(ok)),
-            ("failed", Json::UInt(failed)),
-        ],
-    );
+    (ok, failed)
 }
 
 /// What a submission turned into.
@@ -737,8 +730,10 @@ impl Drop for StreamGuard<'_> {
 /// Replays a job's events with sequence numbers `> since` to the
 /// client, waiting for new ones until the job completes. Answers
 /// `resume-too-old` when the retention cap already discarded requested
-/// events. Returns `Ok` even if the client vanished mid-stream — the
-/// job itself is unaffected.
+/// events, and `resume-past-end` when `since` is at or past the job's
+/// next sequence number (it names events the job never sent). Returns
+/// `Ok` even if the client vanished mid-stream — the job itself is
+/// unaffected.
 fn follow(
     shared: &Shared,
     writer: &mut TcpStream,
@@ -749,15 +744,23 @@ fn follow(
     loop {
         enum Step {
             TooOld(u64),
+            PastEnd(u64),
             Batch(Vec<String>, bool),
         }
         let step = {
             let mut buf = state.buf.lock().expect("event buf poisoned");
             loop {
-                if since + 1 < buf.first_seq {
+                // A cursor from an earlier server run that reused the
+                // job id, or a forged one: waiting for its events would
+                // stall the client until its read timeout.
+                if since >= buf.next_seq {
+                    break Step::PastEnd(buf.next_seq - 1);
+                }
+                // `first_seq >= 1` and `since < next_seq`: no overflow.
+                if since < buf.first_seq - 1 {
                     break Step::TooOld(buf.first_seq);
                 }
-                let start = (since + 1 - buf.first_seq) as usize;
+                let start = (since - (buf.first_seq - 1)) as usize;
                 if start < buf.events.len() {
                     let batch: Vec<String> = buf.events.iter().skip(start).cloned().collect();
                     break Step::Batch(batch, buf.done);
@@ -781,6 +784,20 @@ fn follow(
                         codes::RESUME_TOO_OLD,
                         &format!(
                             "events before seq {first} were discarded; resubmit the job"
+                        ),
+                    )
+                )?;
+                return Ok(());
+            }
+            Step::PastEnd(last) => {
+                writeln!(
+                    writer,
+                    "{}",
+                    protocol::error_line(
+                        codes::RESUME_PAST_END,
+                        &format!(
+                            "cursor {since} is past the job's last event (seq {last}); \
+                             resubmit the job"
                         ),
                     )
                 )?;
@@ -854,13 +871,18 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result
                 writeln!(writer, "{}", shared.status_json().render())?;
             }
             Ok(Request::Shutdown) => {
-                shared.accepting.store(false, Ordering::Relaxed);
+                // The one stop path: refuse new jobs, wake idle workers
+                // so they drain the queue and exit, acknowledge, then
+                // connect once to the listener so the accept blocked in
+                // `JobServer::serve` returns and sees `accepting` cleared.
+                shared.accepting.store(false, Ordering::SeqCst);
                 shared.queue_ready.notify_all();
                 let _ = writeln!(
                     writer,
                     "{}",
                     Json::obj(vec![("event", Json::Str("shutting-down".into()))]).render()
                 );
+                let _ = TcpStream::connect(shared.wake);
                 return Ok(());
             }
             Ok(Request::Sweep { points }) => {

@@ -7,13 +7,16 @@
 //!              [--retain-events N] [--retain-jobs N] [--smoke]
 //! ```
 //!
-//! Runs until SIGINT or a `shutdown` request, then drains the queue and
-//! flushes `results/server_status.json` + `results/server_timeline.json`.
+//! Runs until a `shutdown` request, then drains the queue and flushes
+//! `results/server_status.json` + `results/server_timeline.json`. SIGINT
+//! belongs to this binary, not the library: its handler wakes one
+//! watcher thread, which sends `shutdown` to the server's own address,
+//! so Ctrl-C takes the same stop path as any client.
 //! `--smoke` runs the self-contained end-to-end check used by tier-1:
 //! an ephemeral server, two concurrent clients submitting the same
 //! 2-point grid, exactly-once simulation asserted, clean shutdown.
 
-use secsim_server::{install_sigint_handler, JobServer, ServerConfig};
+use secsim_server::{JobServer, ServerConfig};
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -78,7 +81,6 @@ fn main() {
         smoke_test();
         return;
     }
-    install_sigint_handler();
     let server = match JobServer::bind(&cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -86,6 +88,10 @@ fn main() {
             std::process::exit(1);
         }
     };
+    if let Err(e) = sigint::forward_to(server.dial_addr().to_string()) {
+        eprintln!("error: cannot install the SIGINT handler: {e}");
+        std::process::exit(1);
+    }
     match server.local_addr() {
         Ok(addr) => eprintln!(
             "secsim-serve listening on {addr} (workers={}, threads={}, queue={}, store={})",
@@ -102,6 +108,71 @@ fn main() {
             eprintln!("error: serve loop failed: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+/// Ctrl-C as a wire `shutdown`. The handler only writes one byte to a
+/// socket pair (`write(2)` is async-signal-safe); a watcher thread
+/// blocked on the other end sends `shutdown` to the server. Std-only:
+/// the C runtime's `signal(2)` and `write(2)` are already linked into
+/// every Rust binary.
+#[cfg(unix)]
+mod sigint {
+    use std::io::Read;
+    use std::os::unix::io::IntoRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicI32, Ordering};
+
+    /// Write end of the socket pair, kept open for the process's life.
+    static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
+
+    extern "C" fn on_sigint(_: i32) {
+        let byte = 1u8;
+        // SAFETY: write(2) is async-signal-safe and reads one byte from
+        // `byte`, which lives across the call; the fd is the pair's
+        // write end, never closed once stored.
+        unsafe {
+            write(WAKE_FD.load(Ordering::SeqCst), &byte, 1);
+        }
+    }
+
+    /// Installs the handler and starts the watcher that sends
+    /// `shutdown` to `addr` on the first SIGINT.
+    pub fn forward_to(addr: String) -> std::io::Result<()> {
+        let (tx, mut rx) = UnixStream::pair()?;
+        WAKE_FD.store(tx.into_raw_fd(), Ordering::SeqCst);
+        const SIGINT: i32 = 2;
+        let handler = on_sigint as extern "C" fn(i32);
+        // SAFETY: `handler` has the `void (*)(int)` signature signal(2)
+        // expects and does only async-signal-safe work; the fd it
+        // writes is stored above, before the handler can run.
+        let previous = unsafe { signal(SIGINT, handler as usize) };
+        if previous == usize::MAX {
+            return Err(std::io::Error::last_os_error()); // SIG_ERR
+        }
+        // Detached: it blocks until the first SIGINT, which may never
+        // come when a client sends `shutdown` instead.
+        std::thread::spawn(move || {
+            if rx.read_exact(&mut [0u8]).is_ok() {
+                if let Err(e) = secsim_bench::client::shutdown(&addr) {
+                    eprintln!("error: SIGINT: shutdown request failed: {e}");
+                }
+            }
+        });
+        Ok(())
+    }
+}
+
+/// Off Unix, shutdown remains available via the wire request.
+#[cfg(not(unix))]
+mod sigint {
+    pub fn forward_to(_addr: String) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end acceptance: concurrent clients share simulations
-//! exactly-once, and the store's LRU eviction under a tiny byte budget
-//! never corrupts the surviving entries.
+//! exactly-once, the store's LRU eviction under a tiny byte budget
+//! never corrupts the surviving entries, and the accept loop serves a
+//! connection the moment it arrives and returns on a wire `shutdown`.
 
 use secsim_bench::{client, ResultStore, RunOpts, Sweep, SweepPoint};
 use secsim_core::Policy;
@@ -8,7 +9,8 @@ use secsim_server::{JobServer, ServerConfig};
 use secsim_stats::Json;
 use secsim_workloads::BenchId;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("secsim-serve-e2e-{tag}-{}", std::process::id()));
@@ -242,5 +244,80 @@ fn lru_eviction_under_a_tiny_budget_keeps_survivors_valid() {
     );
     client::shutdown(&addr).expect("shutdown second server");
     handle.join().expect("server thread").expect("serve returns");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Accept blocks instead of polling: a client that reconnects right
+/// after its last answer is served at once. With a 20 ms poll, 50
+/// sequential connections took about 1 s.
+#[test]
+fn sequential_connections_are_served_without_waiting_for_a_poll() {
+    let dir = temp_dir("sequential");
+    let (addr, handle) = spawn_server(&dir.join("store"), None);
+    client::status(&addr).expect("first status");
+
+    let t = Instant::now();
+    for _ in 0..50 {
+        client::status(&addr).expect("status");
+    }
+    let took = t.elapsed();
+    assert!(took < Duration::from_millis(250), "50 sequential status requests took {took:?}");
+
+    client::shutdown(&addr).expect("shutdown");
+    handle.join().expect("server thread").expect("serve returns");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `status` never lags a `complete` the client already saw: the worker
+/// counts a job done before it publishes the job's final event, so a
+/// status request that arrives at once (no accept poll delays it any
+/// more) finds the job in `jobs_done` and no job active. The lag was a
+/// scheduling race, hence 200 small jobs (about 0.3 s).
+#[test]
+fn status_right_after_complete_counts_the_job() {
+    let dir = temp_dir("status-after-complete");
+    let (addr, handle) = spawn_server(&dir.join("store"), None);
+    for i in 0..200u64 {
+        let opts = RunOpts { max_insts: 2_000 + i, ..RunOpts::default() };
+        let point = SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts);
+        client::run_sweep(&addr, &[point]).expect("sweep");
+        let status = client::status(&addr).expect("status");
+        assert_eq!(status.get("jobs_done").and_then(Json::as_u64), Some(i + 1), "after job {i}");
+        assert_eq!(status.get("active_jobs").and_then(Json::as_u64), Some(0), "after job {i}");
+    }
+    client::shutdown(&addr).expect("shutdown");
+    handle.join().expect("server thread").expect("serve returns");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A wire `shutdown` wakes the blocked accept: `serve` returns with no
+/// other connection arriving. The server binds the unspecified address,
+/// so the wake must dial loopback. The wait is bounded: a lost wake
+/// fails the test instead of hanging the suite.
+#[test]
+fn wire_shutdown_wakes_an_idle_accept() {
+    let dir = temp_dir("idle-shutdown");
+    let cfg = ServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        store_dir: dir.join("store"),
+        ..ServerConfig::default()
+    };
+    let server = JobServer::bind(&cfg).expect("bind");
+    let dial = server.dial_addr();
+    assert!(dial.ip().is_loopback(), "unspecified bind IP dials loopback, got {dial}");
+    assert_eq!(dial.port(), server.local_addr().expect("local addr").port());
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(server.serve());
+    });
+
+    client::shutdown(&dial.to_string()).expect("shutdown");
+    let status = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve returns after shutdown")
+        .expect("serve succeeds");
+    assert_eq!(status.get("accepting").and_then(Json::as_bool), Some(false));
+    assert!(dir.join("server_status.json").exists(), "status flushed next to the store");
+    handle.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,8 +3,9 @@
 //! server (or even the connection), and a well-formed grid returns
 //! reports byte-identical to an in-process [`Sweep`].
 
-use secsim_bench::protocol::{codes, MAX_REQUEST_BYTES};
+use secsim_bench::protocol::{self, codes, MAX_REQUEST_BYTES};
 use secsim_bench::{client, faultpoint, ResultStore, RunOpts, Sweep, SweepPoint};
+use secsim_core::Policy;
 use secsim_server::{JobServer, ServerConfig};
 use secsim_stats::Json;
 use secsim_workloads::BenchId;
@@ -156,5 +157,95 @@ fn server_reports_are_byte_identical_to_in_process_sweep_across_policies() {
         assert_eq!(r, l, "policy #{i}: remote and local reports must be byte-identical");
     }
     let _ = std::fs::remove_dir_all(&local_store);
+    stop(&addr, handle, &dir);
+}
+
+/// Sends one request line on a fresh connection and reads event lines
+/// until `complete` or an `error`. The read timeout turns a server that
+/// falls silent into a test failure instead of a hung suite.
+fn exchange(addr: &str, request: &str) -> Vec<Json> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    writeln!(writer, "{request}").expect("send");
+    let mut events = vec![];
+    loop {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line).unwrap_or_else(|e| {
+            panic!("no event after {} for {request}: {e}", events.len())
+        });
+        assert!(n > 0, "connection closed after {} events for {request}", events.len());
+        let ev = Json::parse(line.trim()).expect("event parses");
+        let kind = ev.get("event").and_then(Json::as_str).map(str::to_string);
+        events.push(ev);
+        if matches!(kind.as_deref(), Some("complete" | "error")) {
+            return events;
+        }
+    }
+}
+
+/// A one-point sweep job run to completion over the raw protocol:
+/// returns the request line, the job id and the job's last `seq`.
+fn one_point_job(addr: &str) -> (String, u64, u64) {
+    let opts = RunOpts { max_insts: 8_000, ..RunOpts::default() };
+    let request =
+        protocol::sweep_request_v2(&[SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts)]);
+    let events = exchange(addr, &request);
+    let job = events[0].get("job").and_then(Json::as_u64).expect("queued carries the job id");
+    let last = events.last().and_then(|e| e.get("seq")).and_then(Json::as_u64).expect("seq");
+    assert_eq!(last, 3, "running, point-done, complete");
+    (request, job, last)
+}
+
+fn assert_past_end(events: &[Json], since: u64) {
+    let last = events.last().expect("an answer");
+    assert_eq!(last.get("event").and_then(Json::as_str), Some("error"), "cursor {since}");
+    assert_eq!(
+        last.get("code").and_then(Json::as_str),
+        Some(codes::RESUME_PAST_END),
+        "cursor {since}"
+    );
+}
+
+/// A cursor past the job's last event (a restarted server reusing job
+/// ids hands a client exactly this) answers `resume-past-end` at once
+/// instead of `resumed` and then silence until the client's read
+/// timeout; the job itself stays resumable.
+#[test]
+fn resume_cursor_past_the_last_event_answers_a_typed_error() {
+    let dir = temp_dir("past-end");
+    let (addr, handle) = spawn_server(&dir);
+    let (_, job, last) = one_point_job(&addr);
+
+    for since in [last + 1, 1000] {
+        assert_past_end(&exchange(&addr, &protocol::resume_request(job, since)), since);
+    }
+    // A cursor inside the job still replays: only `complete` is left.
+    let tail = exchange(&addr, &protocol::resume_request(job, last - 1));
+    assert_eq!(tail.len(), 2, "resumed + complete");
+    assert_eq!(tail[1].get("seq").and_then(Json::as_u64), Some(last));
+    stop(&addr, handle, &dir);
+}
+
+/// `since_seq = u64::MAX` once overflowed `since + 1` while holding the
+/// job's event-buffer lock, poisoning it for every later follower and
+/// identical resubmission. It must answer the typed error and leave the
+/// job replayable and dedup-able.
+#[test]
+fn resume_cursor_at_u64_max_is_refused_without_poisoning_the_job() {
+    let dir = temp_dir("u64-max");
+    let (addr, handle) = spawn_server(&dir);
+    let (request, job, last) = one_point_job(&addr);
+
+    assert_past_end(&exchange(&addr, &protocol::resume_request(job, u64::MAX)), u64::MAX);
+
+    let replay = exchange(&addr, &protocol::resume_request(job, 0));
+    assert_eq!(replay.len(), 1 + last as usize, "resumed + every event of the job");
+    assert_eq!(replay.last().and_then(|e| e.get("event")).and_then(Json::as_str), Some("complete"));
+    let again = exchange(&addr, &request);
+    assert_eq!(again[0].get("attached").and_then(Json::as_bool), Some(true));
+    assert_eq!(again[0].get("job").and_then(Json::as_u64), Some(job));
+    assert_eq!(again.last().and_then(|e| e.get("event")).and_then(Json::as_str), Some("complete"));
     stop(&addr, handle, &dir);
 }

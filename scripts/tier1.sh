@@ -57,6 +57,10 @@ echo "== serve-smoke: job server on an ephemeral port, 2 clients x 2-point grid 
 # both clients), byte-identical reports, and a clean drain on shutdown.
 ./target/release/secsim-serve --smoke
 
+echo "== serve-sigint: Ctrl-C drains secsim-serve, exit 0 within 5 s =="
+# The binary owns SIGINT and turns it into a wire `shutdown`.
+scripts/serve_sigint_smoke.sh
+
 echo "== chaos-smoke: seeded fault-injecting proxy, 2 clients, forced reconnects =="
 # Fixed seed, 90% fault rate: at least one reconnect is guaranteed (and
 # asserted), results must be byte-identical to a fault-free run, and the
