@@ -33,7 +33,7 @@
 //! Faults fire at most once per connection; a reconnecting client gets
 //! a fresh roll. With a nonzero fault rate a multi-point job stream is
 //! overwhelmingly likely to be interrupted at least once, which is what
-//! exercises the protocol-v2 resume path.
+//! exercises the protocol's resume path.
 
 use secsim_workloads::SplitMix64;
 use std::io::{Read, Write};

@@ -1,4 +1,4 @@
-//! Wire protocol of the `secsim-serve` job server (versions 1 and 2).
+//! Wire protocol of the `secsim-serve` job server (version 2).
 //!
 //! Line-delimited JSON over TCP: the client sends **one request
 //! object per line**, the server answers with a stream of **event
@@ -10,18 +10,19 @@
 //! # Requests
 //!
 //! ```json
-//! {"v":1,"kind":"sweep","points":[{"bench":"mcf","seed":2006,"warmup":0,"cfg":{…}}]}
-//! {"v":1,"kind":"faults","inject":2500}
-//! {"v":1,"kind":"status"}
-//! {"v":1,"kind":"shutdown"}
+//! {"v":2,"kind":"sweep","points":[{"bench":"mcf","seed":2006,"warmup":0,"cfg":{…}}]}
+//! {"v":2,"kind":"faults","inject":2500}
+//! {"v":2,"kind":"status"}
+//! {"v":2,"kind":"shutdown"}
 //! {"v":2,"kind":"resume","job":3,"since_seq":17}
 //! ```
 //!
-//! Version 2 is a strict superset of version 1 — v1 clients are still
-//! accepted verbatim. What v2 adds is *resumability*: every job-stream
-//! event carries a monotone `seq` number, and a client that lost its
-//! connection mid-stream reconnects and sends `resume` to replay every
-//! event after the last one it saw, instead of resubmitting the job.
+//! Client and server ship from one workspace, so the server speaks
+//! exactly one version, [`PROTOCOL_VERSION`]. Jobs are *resumable*:
+//! every job-stream event carries a monotone `seq` number, and a client
+//! that lost its connection mid-stream reconnects and sends `resume` to
+//! replay every event after the last one it saw, instead of
+//! resubmitting the job.
 //! Submissions themselves are deduplicated server-side by a content
 //! hash of the request ([`sweep_job_hash`] / [`faults_job_hash`]), so
 //! even a client that *does* resubmit after a crash attaches to the
@@ -62,13 +63,9 @@ use secsim_mem::{CacheConfig, DramConfig, MemSystemConfig, TlbConfig};
 use secsim_stats::{Json, StableHash, StableHasher};
 use secsim_workloads::{register_program, BenchId, ProgramImage};
 
-/// Version tag every request must carry (`"v"`).
-pub const PROTOCOL_VERSION: u64 = 1;
-
-/// Protocol version 2: adds server-assigned job ids, monotone per-job
-/// event sequence numbers, and the `resume` request. The server accepts
-/// both versions; [`PROTOCOL_VERSION`] clients keep working unchanged.
-pub const PROTOCOL_V2: u64 = 2;
+/// Version tag every request must carry (`"v"`): server-assigned job
+/// ids, monotone per-job event sequence numbers, and `resume`.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Upper bound on one request line, bytes. Large enough for a sweep
 /// grid with several embedded `.sprog` images, small enough that a
@@ -81,11 +78,10 @@ pub mod codes {
     pub const MALFORMED_JSON: &str = "malformed-json";
     /// The request line exceeds [`super::MAX_REQUEST_BYTES`].
     pub const OVERSIZED_REQUEST: &str = "oversized-request";
-    /// The request's `"v"` is missing or not a version this server
-    /// speaks.
+    /// The request's `"v"` is missing or not [`super::PROTOCOL_VERSION`].
     pub const UNSUPPORTED_VERSION: &str = "unsupported-version";
     /// The request's `"kind"` is not one of
-    /// `sweep`/`faults`/`status`/`shutdown`.
+    /// `sweep`/`faults`/`status`/`shutdown`/`resume`.
     pub const UNKNOWN_KIND: &str = "unknown-kind";
     /// The request parsed but its payload is invalid (bad point, bad
     /// program image, …).
@@ -160,7 +156,7 @@ pub enum Request {
     /// Drain the queue, refuse new jobs, flush counters, exit.
     Shutdown,
     /// Re-attach to a known job and replay every retained event with a
-    /// sequence number greater than `since_seq` (v2 only).
+    /// sequence number greater than `since_seq`.
     Resume {
         /// Server-assigned job id from the `queued` event.
         job: u64,
@@ -183,20 +179,18 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         code: codes::MALFORMED_JSON,
         detail: e.to_string(),
     })?;
-    let version = match v.get("v").and_then(Json::as_u64) {
-        Some(n @ (PROTOCOL_VERSION | PROTOCOL_V2)) => n,
+    match v.get("v").and_then(Json::as_u64) {
+        Some(PROTOCOL_VERSION) => {}
         got => {
             return Err(ProtoError {
                 code: codes::UNSUPPORTED_VERSION,
                 detail: match got {
-                    Some(n) => format!(
-                        "request version {n}, server speaks {PROTOCOL_VERSION} and {PROTOCOL_V2}"
-                    ),
+                    Some(n) => format!("request version {n}, server speaks {PROTOCOL_VERSION}"),
                     None => "request carries no numeric \"v\" field".to_string(),
                 },
             })
         }
-    };
+    }
     let kind = v.get("kind").and_then(Json::as_str).unwrap_or("");
     match kind {
         "sweep" => {
@@ -226,7 +220,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         }
         "status" => Ok(Request::Status),
         "shutdown" => Ok(Request::Shutdown),
-        "resume" if version >= PROTOCOL_V2 => {
+        "resume" => {
             let job = v
                 .get("job")
                 .and_then(Json::as_u64)
@@ -236,66 +230,40 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         }
         other => Err(ProtoError {
             code: codes::UNKNOWN_KIND,
-            detail: if other == "resume" {
-                format!("\"resume\" needs protocol version {PROTOCOL_V2}")
-            } else {
-                format!("unknown request kind {other:?}")
-            },
+            detail: format!("unknown request kind {other:?}"),
         }),
     }
 }
 
 /// Renders a sweep request line for `points`.
-pub fn sweep_request(points: &[SweepPoint]) -> String {
+pub fn sweep_request_v2(points: &[SweepPoint]) -> String {
     Json::obj(vec![
         ("v", Json::UInt(PROTOCOL_VERSION)),
         ("kind", Json::Str("sweep".into())),
         ("points", Json::Array(points.iter().map(point_to_json).collect())),
-    ])
-    .render()
-}
-
-/// Renders a v2 sweep request line for `points` (identical payload to
-/// [`sweep_request`], but entitled to `resume` later).
-pub fn sweep_request_v2(points: &[SweepPoint]) -> String {
-    Json::obj(vec![
-        ("v", Json::UInt(PROTOCOL_V2)),
-        ("kind", Json::Str("sweep".into())),
-        ("points", Json::Array(points.iter().map(point_to_json).collect())),
-    ])
-    .render()
-}
-
-/// Renders a v2 fault-campaign request line.
-pub fn faults_request_v2(inject: u64, timeout_secs: u64) -> String {
-    Json::obj(vec![
-        ("v", Json::UInt(PROTOCOL_V2)),
-        ("kind", Json::Str("faults".into())),
-        ("inject", Json::UInt(inject)),
-        ("timeout_secs", Json::UInt(timeout_secs)),
-    ])
-    .render()
-}
-
-/// Renders a v2 resume request line: replay retained events of `job`
-/// with `seq > since_seq`.
-pub fn resume_request(job: u64, since_seq: u64) -> String {
-    Json::obj(vec![
-        ("v", Json::UInt(PROTOCOL_V2)),
-        ("kind", Json::Str("resume".into())),
-        ("job", Json::UInt(job)),
-        ("since_seq", Json::UInt(since_seq)),
     ])
     .render()
 }
 
 /// Renders a fault-campaign request line.
-pub fn faults_request(inject: u64, timeout_secs: u64) -> String {
+pub fn faults_request_v2(inject: u64, timeout_secs: u64) -> String {
     Json::obj(vec![
         ("v", Json::UInt(PROTOCOL_VERSION)),
         ("kind", Json::Str("faults".into())),
         ("inject", Json::UInt(inject)),
         ("timeout_secs", Json::UInt(timeout_secs)),
+    ])
+    .render()
+}
+
+/// Renders a resume request line: replay retained events of `job`
+/// with `seq > since_seq`.
+pub fn resume_request(job: u64, since_seq: u64) -> String {
+    Json::obj(vec![
+        ("v", Json::UInt(PROTOCOL_VERSION)),
+        ("kind", Json::Str("resume".into())),
+        ("job", Json::UInt(job)),
+        ("since_seq", Json::UInt(since_seq)),
     ])
     .render()
 }
@@ -968,22 +936,20 @@ mod tests {
             ("{not json", codes::MALFORMED_JSON),
             ("{\"kind\":\"sweep\"}", codes::UNSUPPORTED_VERSION),
             ("{\"v\":99,\"kind\":\"sweep\"}", codes::UNSUPPORTED_VERSION),
-            ("{\"v\":1,\"kind\":\"reticulate\"}", codes::UNKNOWN_KIND),
-            ("{\"v\":1,\"kind\":\"sweep\"}", codes::BAD_REQUEST),
-            ("{\"v\":1,\"kind\":\"sweep\",\"points\":[]}", codes::BAD_REQUEST),
-            ("{\"v\":1,\"kind\":\"sweep\",\"points\":[{\"bench\":\"nope\"}]}", codes::BAD_REQUEST),
-            ("{\"v\":1,\"kind\":\"faults\"}", codes::BAD_REQUEST),
-            // resume is a v2 verb: a v1 client asking for it is typed,
-            // and a v2 resume still validates its payload.
-            ("{\"v\":1,\"kind\":\"resume\",\"job\":3}", codes::UNKNOWN_KIND),
-            ("{\"v\":2,\"kind\":\"resume\"}", codes::BAD_REQUEST),
+            // Version 1 is gone: even a request that was valid v1 is refused.
+            ("{\"v\":1,\"kind\":\"status\"}", codes::UNSUPPORTED_VERSION),
             ("{\"v\":2,\"kind\":\"reticulate\"}", codes::UNKNOWN_KIND),
+            ("{\"v\":2,\"kind\":\"sweep\"}", codes::BAD_REQUEST),
+            ("{\"v\":2,\"kind\":\"sweep\",\"points\":[]}", codes::BAD_REQUEST),
+            ("{\"v\":2,\"kind\":\"sweep\",\"points\":[{\"bench\":\"nope\"}]}", codes::BAD_REQUEST),
+            ("{\"v\":2,\"kind\":\"faults\"}", codes::BAD_REQUEST),
+            ("{\"v\":2,\"kind\":\"resume\"}", codes::BAD_REQUEST),
         ];
         for (line, want) in cases {
             let err = parse_request(line).unwrap_err();
             assert_eq!(err.code, want, "for {line:?}: {err}");
         }
-        let big = format!("{{\"v\":1,\"pad\":\"{}\"}}", "x".repeat(MAX_REQUEST_BYTES));
+        let big = format!("{{\"v\":2,\"pad\":\"{}\"}}", "x".repeat(MAX_REQUEST_BYTES));
         assert_eq!(parse_request(&big).unwrap_err().code, codes::OVERSIZED_REQUEST);
     }
 
@@ -995,7 +961,7 @@ mod tests {
             cfg: sim_config_id(BenchId::Gzip, Policy::baseline(), &RunOpts::default()),
             warmup_insts: 0,
         };
-        match parse_request(&sweep_request(std::slice::from_ref(&p))).unwrap() {
+        match parse_request(&sweep_request_v2(std::slice::from_ref(&p))).unwrap() {
             Request::Sweep { points } => {
                 assert_eq!(points.len(), 1);
                 assert_eq!(points[0].key(), p.key());
@@ -1003,29 +969,11 @@ mod tests {
             other => panic!("wrong request: {other:?}"),
         }
         assert!(matches!(
-            parse_request(&faults_request(2_500, 60)).unwrap(),
+            parse_request(&faults_request_v2(2_500, 60)).unwrap(),
             Request::Faults { inject: 2_500, timeout_secs: 60 }
         ));
         assert!(matches!(parse_request(&status_request()).unwrap(), Request::Status));
         assert!(matches!(parse_request(&shutdown_request()).unwrap(), Request::Shutdown));
-    }
-
-    #[test]
-    fn v2_requests_parse_and_v1_payloads_are_accepted_unchanged() {
-        let p = SweepPoint {
-            bench: BenchId::Gzip,
-            seed: 2006,
-            cfg: sim_config_id(BenchId::Gzip, Policy::baseline(), &RunOpts::default()),
-            warmup_insts: 0,
-        };
-        match parse_request(&sweep_request_v2(std::slice::from_ref(&p))).unwrap() {
-            Request::Sweep { points } => assert_eq!(points[0].key(), p.key()),
-            other => panic!("wrong request: {other:?}"),
-        }
-        assert!(matches!(
-            parse_request(&faults_request_v2(2_500, 60)).unwrap(),
-            Request::Faults { inject: 2_500, timeout_secs: 60 }
-        ));
         assert!(matches!(
             parse_request(&resume_request(7, 42)).unwrap(),
             Request::Resume { job: 7, since_seq: 42 }

@@ -18,9 +18,10 @@
 //! ```
 //!
 //! `sum` is a stable fingerprint of the rendered report; entries whose
-//! checksum, embedded key, or schema version disagree are treated as
-//! misses (and counted under `bad_entries`) — a corrupt or stale entry
-//! can degrade performance, never correctness.
+//! checksum is missing or disagrees, or whose embedded key or schema
+//! version disagree, are treated as misses (and counted under
+//! `bad_entries`) — a corrupt or stale entry can degrade performance,
+//! never correctness.
 //!
 //! # Concurrency: claims
 //!
@@ -129,25 +130,6 @@ impl StoreCounters {
             ("scavenged_tmp", Json::UInt(self.scavenged_tmp)),
             ("scavenged_claims", Json::UInt(self.scavenged_claims)),
         ])
-    }
-
-    /// Parses what [`StoreCounters::to_json`] rendered. The scavenger
-    /// counters are optional so pre-scavenger status payloads still
-    /// parse.
-    pub fn from_json(v: &Json) -> Option<Self> {
-        let opt = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
-        Some(Self {
-            hits: v.get("hits")?.as_u64()?,
-            misses: v.get("misses")?.as_u64()?,
-            stores: v.get("stores")?.as_u64()?,
-            evictions: v.get("evictions")?.as_u64()?,
-            bad_entries: v.get("bad_entries")?.as_u64()?,
-            claims_won: v.get("claims_won")?.as_u64()?,
-            claims_lost: v.get("claims_lost")?.as_u64()?,
-            claim_breaks: v.get("claim_breaks")?.as_u64()?,
-            scavenged_tmp: opt("scavenged_tmp"),
-            scavenged_claims: opt("scavenged_claims"),
-        })
     }
 }
 
@@ -314,13 +296,8 @@ impl ResultStore {
                 return None;
             }
             let report = v.get("report")?;
-            // Entries written by this store carry a checksum; verify it
-            // when present (older entries without one still validate by
-            // version + key).
-            if let Some(sum) = v.get("sum") {
-                if sum.as_str()? != report_sum(report) {
-                    return None;
-                }
+            if v.get("sum")?.as_str()? != report_sum(report) {
+                return None;
             }
             SimReport::from_json(report)
         })();
@@ -649,6 +626,12 @@ mod tests {
         fs::write(&path, forged).unwrap();
         assert!(store.load("mcf", 7).is_none());
         assert_eq!(store.counters().bad_entries, 1);
+        // An entry without its checksum is just as unverifiable.
+        let sum_at = body.find(",\"sum\":").expect("entry carries a sum");
+        fs::write(&path, format!("{}}}", &body[..sum_at])).unwrap();
+        assert!(Json::parse(&fs::read_to_string(&path).unwrap()).is_ok(), "still valid JSON");
+        assert!(store.load("mcf", 7).is_none());
+        assert_eq!(store.counters().bad_entries, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -796,9 +779,6 @@ mod tests {
         store.put("mcf", 0xbeef, &report(12));
         assert_eq!(store.scavenge(), (0, 0));
         assert!(store.load("mcf", 0xbeef).is_some(), "entry survives scavenging");
-        // Counters round-trip through the status JSON encoding.
-        let c = store.counters();
-        assert_eq!(StoreCounters::from_json(&c.to_json()), Some(c));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -53,7 +53,6 @@ mod encode;
 mod exec;
 mod inst;
 mod mem;
-mod parse;
 mod reg;
 
 pub use asm::{Asm, AsmError, Label};
@@ -61,5 +60,4 @@ pub use encode::{decode, disassemble, encode};
 pub use exec::{step, step_decoded, ArchState, Fault, MemAccess, StepInfo};
 pub use inst::{Inst, MemWidth, OpClass, RegRef};
 pub use mem::{FlatMem, MemIo};
-pub use parse::{assemble_text, ParseError};
 pub use reg::{FReg, Reg};

@@ -150,18 +150,3 @@ proptest! {
         prop_assert_eq!(st.reg(Reg::R0), 0);
     }
 }
-
-proptest! {
-    /// The text assembler inverts `Display` for every printable
-    /// instruction: `assemble_text(inst.to_string()) == [encode(inst)]`.
-    #[test]
-    fn display_assemble_round_trip(inst in any_inst()) {
-        // `li` is a pseudo-op, not a printable form; all real
-        // instructions print in parseable syntax.
-        let text = inst.to_string();
-        let words = secsim_isa::assemble_text(&text, 0)
-            .unwrap_or_else(|e| panic!("`{text}` failed to parse: {e}"));
-        prop_assert_eq!(words.len(), 1);
-        prop_assert_eq!(words[0], encode(inst), "text was `{}`", text);
-    }
-}

@@ -12,7 +12,7 @@
 //! content-addressed [`ResultStore`] that
 //! future jobs hit instead of simulating.
 //!
-//! # Resilience (protocol v2)
+//! # Resilience
 //!
 //! The server is built to survive misbehaving networks and clients:
 //!
@@ -230,8 +230,7 @@ impl Shared {
         let jobs_retained = self.registry.lock().expect("registry poisoned").jobs.len();
         Json::obj(vec![
             ("event", Json::Str("status".into())),
-            ("protocol", Json::UInt(protocol::PROTOCOL_V2)),
-            ("protocol_min", Json::UInt(protocol::PROTOCOL_VERSION)),
+            ("protocol", Json::UInt(protocol::PROTOCOL_VERSION)),
             ("accepting", Json::Bool(self.accepting.load(Ordering::Relaxed))),
             (
                 "queue_depth",

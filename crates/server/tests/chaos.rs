@@ -9,8 +9,9 @@
 //! silently corrupting a result.
 
 use secsim_bench::chaos::{ChaosPlan, ChaosProxy};
-use secsim_bench::client::{self, ClientError, RetryPolicy};
-use secsim_bench::{protocol, ResultStore, RunOpts, Sweep, SweepError, SweepPoint};
+use secsim_bench::client::{self, ClientError, ClientStats, RetryPolicy};
+use secsim_bench::protocol::{self, codes};
+use secsim_bench::{ResultStore, RunOpts, Sweep, SweepError, SweepPoint};
 use secsim_core::Policy;
 use secsim_server::{JobServer, ServerConfig};
 use secsim_stats::Json;
@@ -234,6 +235,98 @@ fn wedged_server_surfaces_a_typed_timeout() {
     // A second connection unblocks the wedge thread's accept loop.
     let _ = TcpStream::connect(&addr);
     wedge.join().expect("wedge thread");
+}
+
+/// The client's stale-cursor fallback, against a scripted server. The
+/// first connection streams one point and closes; the `resume` is
+/// answered with a stale-cursor code; the client must drop its cursor
+/// and resubmit, and the third connection streams the whole job. The
+/// first connection's report is deliberately different from the final
+/// one, so keeping any partial state would show in the results.
+#[test]
+fn stale_resume_cursor_falls_back_to_a_clean_resubmission() {
+    let points = grid();
+    let report = |insts: u64| secsim_cpu::SimReport {
+        insts,
+        cycles: 2 * insts,
+        halted: true,
+        ..Default::default()
+    };
+    let reports: Vec<_> = (0..points.len() as u64).map(|i| report(1_000 + i)).collect();
+    // Event lines as the server renders them, all for job 5.
+    let event = |kind: &str, fields: Vec<(&'static str, Json)>| {
+        let mut pairs = vec![("event", Json::Str(kind.into())), ("job", Json::UInt(5))];
+        pairs.extend(fields);
+        Json::obj(pairs).render()
+    };
+    let point_done = |index: usize, r: &secsim_cpu::SimReport, seq: u64| {
+        let (key, payload) = protocol::result_to_json(&Ok(r.clone()));
+        event(
+            "point-done",
+            vec![("index", Json::UInt(index as u64)), (key, payload), ("seq", Json::UInt(seq))],
+        )
+    };
+    let queued = event("queued", vec![("points", Json::UInt(points.len() as u64))]);
+    let running = event("running", vec![("seq", Json::UInt(1))]);
+    let first = [queued.clone(), running.clone(), point_done(0, &report(9_999), 2)];
+    let mut whole = vec![queued, running];
+    whole.extend(reports.iter().enumerate().map(|(i, r)| point_done(i, r, i as u64 + 2)));
+    whole.push(event(
+        "complete",
+        vec![
+            ("ok", Json::UInt(points.len() as u64)),
+            ("failed", Json::UInt(0)),
+            ("seq", Json::UInt(points.len() as u64 + 2)),
+        ],
+    ));
+    let submit = protocol::sweep_request_v2(&points);
+
+    for code in [codes::RESUME_TOO_OLD, codes::RESUME_PAST_END, codes::UNKNOWN_JOB] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (first, whole, submit) = (first.clone(), whole.clone(), submit.clone());
+        let script = std::thread::spawn(move || {
+            // One request per connection; answer it with `lines`, close.
+            let serve = |lines: &[String]| -> String {
+                let (mut sock, _) = listener.accept().expect("accept");
+                let mut request = String::new();
+                BufReader::new(&sock).read_line(&mut request).expect("request line");
+                for line in lines {
+                    writeln!(sock, "{line}").expect("send event");
+                }
+                request.trim_end().to_string()
+            };
+            assert_eq!(serve(&first), submit, "connection 1 submits the grid");
+            let refusal = [protocol::error_line(code, "stale cursor")];
+            assert_eq!(serve(&refusal), protocol::resume_request(5, 2), "connection 2 resumes");
+            assert_eq!(serve(&whole), submit, "connection 3 resubmits the same grid");
+        });
+        let policy = RetryPolicy {
+            base_ms: 1,
+            cap_ms: 10,
+            read_timeout: Duration::from_secs(10),
+            ..RetryPolicy::default()
+        };
+        // A client that gives up leaves the script blocked in `accept`:
+        // fail before joining it.
+        let (results, stats) = client::run_sweep_with(&addr, &points, policy)
+            .unwrap_or_else(|e| panic!("{code}: {e}"));
+        script.join().expect("scripted server");
+        let want: Vec<_> =
+            reports.iter().map(|r| r.to_json().expect("untraced").render()).collect();
+        assert_eq!(renders(&results), want, "{code}: results in grid order, partial state dropped");
+        assert_eq!(
+            stats,
+            ClientStats {
+                connects: 3,
+                reconnects: 2,
+                resumes: 1,
+                resubmits: 1,
+                ..ClientStats::default()
+            },
+            "{code}"
+        );
+    }
 }
 
 /// Raw-protocol resume: drop the connection mid-stream, reconnect with

@@ -65,18 +65,19 @@ fn malformed_requests_answer_typed_errors_and_the_session_survives() {
         ("this is not json", codes::MALFORMED_JSON),
         ("{\"kind\":\"status\"}", codes::UNSUPPORTED_VERSION),
         ("{\"v\":99,\"kind\":\"status\"}", codes::UNSUPPORTED_VERSION),
-        ("{\"v\":1,\"kind\":\"reticulate\"}", codes::UNKNOWN_KIND),
-        ("{\"v\":1,\"kind\":\"sweep\"}", codes::BAD_REQUEST),
-        ("{\"v\":1,\"kind\":\"sweep\",\"points\":[]}", codes::BAD_REQUEST),
-        ("{\"v\":1,\"kind\":\"sweep\",\"points\":[{\"bench\":\"nope\"}]}", codes::BAD_REQUEST),
-        ("{\"v\":1,\"kind\":\"faults\"}", codes::BAD_REQUEST),
+        ("{\"v\":1,\"kind\":\"status\"}", codes::UNSUPPORTED_VERSION),
+        ("{\"v\":2,\"kind\":\"reticulate\"}", codes::UNKNOWN_KIND),
+        ("{\"v\":2,\"kind\":\"sweep\"}", codes::BAD_REQUEST),
+        ("{\"v\":2,\"kind\":\"sweep\",\"points\":[]}", codes::BAD_REQUEST),
+        ("{\"v\":2,\"kind\":\"sweep\",\"points\":[{\"bench\":\"nope\"}]}", codes::BAD_REQUEST),
+        ("{\"v\":2,\"kind\":\"faults\"}", codes::BAD_REQUEST),
     ] {
         let ev = ask(line);
         assert_eq!(ev.get("event").and_then(Json::as_str), Some("error"), "for {line}");
         assert_eq!(ev.get("code").and_then(Json::as_str), Some(want), "for {line}");
     }
     // The same battered connection still serves a real request.
-    let ev = ask("{\"v\":1,\"kind\":\"status\"}");
+    let ev = ask("{\"v\":2,\"kind\":\"status\"}");
     assert_eq!(ev.get("event").and_then(Json::as_str), Some("status"));
     drop(reader);
     stop(&addr, handle, &dir);
@@ -116,7 +117,7 @@ fn truncated_stream_is_answered_with_a_typed_error() {
     let stream = TcpStream::connect(&addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
-    writer.write_all(b"{\"v\":1,\"kind\":").expect("send partial");
+    writer.write_all(b"{\"v\":2,\"kind\":").expect("send partial");
     writer.flush().expect("flush");
     writer.shutdown(std::net::Shutdown::Write).expect("half-close");
     let mut reply = String::new();

@@ -1,8 +1,10 @@
-//! The workload-level two-pass text assembler (`.sasm` sources).
+//! The two-pass text assembler (`.sasm` sources): the one way assembly
+//! text becomes instructions.
 //!
-//! Builds on the instruction grammar of [`secsim_isa::assemble_text`]
-//! (same mnemonics, `off(reg)` addressing, `#`/`;` comments, labels)
-//! and adds what a shippable external workload needs:
+//! Instructions are spelled the way [`secsim_isa::disassemble`] prints
+//! them (same mnemonics, `off(reg)` addressing, numeric branch offsets,
+//! `illegal 0x…`); on top of `#`/`;` comments and labels it adds what a
+//! shippable external workload needs:
 //!
 //! * **sections and directives** — `.base`, `.entry`, `.data`, `.text`,
 //!   `.word`, `.half`, `.byte`, `.zero`, `.align`, `.footprint`;
@@ -207,13 +209,21 @@ impl Assembler {
         }
     }
 
-    fn seg_mut(&mut self) -> &mut Segment {
+    /// The bytes of the current data segment (opened at
+    /// [`DEFAULT_DATA_BASE`] if none is), about to grow by `n`; refused
+    /// at `tok` if they would run past the 32-bit address space.
+    fn grow(&mut self, n: u64, tok: &Tok) -> Result<&mut Vec<u8>, AsmDiag> {
+        let cursor = self.data_cursor();
+        let end = u64::from(cursor) + n;
+        if end > u64::from(u32::MAX) {
+            return Err(tok.err(format!("{n} bytes at {cursor:#x} {}", past_the_top(end))));
+        }
         if self.cur_seg.is_none() {
             self.segments.push(Segment { addr: DEFAULT_DATA_BASE, bytes: Vec::new() });
             self.cur_seg = Some(self.segments.len() - 1);
         }
         let i = self.cur_seg.expect("just ensured");
-        &mut self.segments[i]
+        Ok(&mut self.segments[i].bytes)
     }
 
     fn bind(&mut self, name: &str, tok: &Tok) -> Result<(), AsmDiag> {
@@ -229,8 +239,14 @@ impl Assembler {
         if self.in_data {
             return Err(diag(line, col, "instruction in `.data` section"));
         }
+        let words = self.code_words + p.words();
+        let end = u64::from(self.code_base) + u64::from(words) * 4;
+        if end > u64::from(u32::MAX) {
+            let msg = format!("code from {:#x} {}", self.code_base, past_the_top(end));
+            return Err(diag(line, col, msg));
+        }
         self.base_locked = true;
-        self.code_words += p.words();
+        self.code_words = words;
         self.insts.push((p, line, col));
         Ok(())
     }
@@ -241,6 +257,11 @@ impl Assembler {
             None => Err(sym.err(format!("unknown label `{}`", sym.text))),
         }
     }
+}
+
+/// The tail of every "does not fit below 2^32" diagnostic.
+fn past_the_top(end: u64) -> String {
+    format!("would end at {end:#x}, outside the 32-bit address space")
 }
 
 fn parse_int_body(body: &str) -> Option<i64> {
@@ -412,18 +433,31 @@ pub fn assemble_named(source: &str, name: &str) -> Result<ProgramImage, AsmDiag>
         segments.push(std::mem::replace(&mut taken[old], Segment { addr: 0, bytes: Vec::new() }));
     }
 
+    // Image-level failures point at the last line.
+    let image_err = |why: String| diag(source.lines().count().max(1), 1, why);
     let data_base = segments.first().map_or(DEFAULT_DATA_BASE, |s| s.addr & !63);
     let data_end = segments.last().map_or(data_base, Segment::end);
     let footprint = match a.footprint {
         Some((n, ref tok)) => {
-            if data_end > data_base + n {
+            let Some(region_end) = data_base.checked_add(n) else {
+                let end = u64::from(data_base) + u64::from(n);
+                return Err(tok.err(format!(
+                    "footprint {n} from data base {data_base:#x} {}",
+                    past_the_top(end)
+                )));
+            };
+            if data_end > region_end {
                 return Err(tok.err(format!(
                     "footprint {n} does not cover data ending at {data_end:#x}"
                 )));
             }
             n
         }
-        None => (data_end - data_base).next_power_of_two().max(4096),
+        None => (data_end - data_base).max(4096).checked_next_power_of_two().ok_or_else(|| {
+            image_err(format!(
+                "data [{data_base:#x}, {data_end:#x}) spans more than any footprint (2^31 bytes)"
+            ))
+        })?,
     };
 
     let img = ProgramImage {
@@ -437,8 +471,8 @@ pub fn assemble_named(source: &str, name: &str) -> Result<ProgramImage, AsmDiag>
         relocs,
     };
     img.validate().map_err(|e| match e {
-        ProgError::Invalid(why) => diag(source.lines().count().max(1), 1, why),
-        other => diag(source.lines().count().max(1), 1, other.to_string()),
+        ProgError::Invalid(why) => image_err(why),
+        other => image_err(other.to_string()),
     })?;
     Ok(img)
 }
@@ -539,6 +573,9 @@ fn parse_directive(a: &mut Assembler, mn: &Tok, ops: &[Tok]) -> Result<(), AsmDi
             if v < 0 || v % 4 != 0 {
                 return Err(ops[0].err(format!("code base {v} must be a non-negative multiple of 4")));
             }
+            if v > i64::from(u32::MAX) {
+                return Err(ops[0].err(format!("code base {v} out of range")));
+            }
             a.code_base = v as u32;
             Ok(())
         }
@@ -589,26 +626,24 @@ fn parse_directive(a: &mut Assembler, mn: &Tok, ops: &[Tok]) -> Result<(), AsmDi
                         if !(-(1i64 << 31)..(1i64 << 32)).contains(&v) {
                             return Err(op.err(format!("word value {v} out of 32-bit range")));
                         }
-                        a.seg_mut().bytes.extend_from_slice(&(v as u32).to_le_bytes());
+                        a.grow(4, op)?.extend_from_slice(&(v as u32).to_le_bytes());
                     }
                     (".word", Value::Sym(sym)) => {
-                        let seg_idx = {
-                            a.seg_mut();
-                            a.cur_seg.expect("seg_mut ensures a segment")
-                        };
-                        let off = a.segments[seg_idx].bytes.len();
-                        a.segments[seg_idx].bytes.extend_from_slice(&[0; 4]);
-                        a.data_refs.push(DataRef { seg: seg_idx, off, sym });
+                        let bytes = a.grow(4, op)?;
+                        let off = bytes.len();
+                        bytes.extend_from_slice(&[0; 4]);
+                        let seg = a.cur_seg.expect("grow opens a segment");
+                        a.data_refs.push(DataRef { seg, off, sym });
                     }
                     (".half", Value::Num(v)) => {
                         let v = as_u16(v, op)?;
-                        a.seg_mut().bytes.extend_from_slice(&v.to_le_bytes());
+                        a.grow(2, op)?.extend_from_slice(&v.to_le_bytes());
                     }
                     (".byte", Value::Num(v)) => {
                         if !(-128..=255).contains(&v) {
                             return Err(op.err(format!("byte value {v} out of range")));
                         }
-                        a.seg_mut().bytes.push(v as u8);
+                        a.grow(1, op)?.push(v as u8);
                     }
                     (_, Value::Sym(sym)) => {
                         return Err(sym.err(format!(
@@ -630,8 +665,8 @@ fn parse_directive(a: &mut Assembler, mn: &Tok, ops: &[Tok]) -> Result<(), AsmDi
             if !(0..=i64::from(u32::MAX)).contains(&n) {
                 return Err(ops[0].err(format!("zero-fill length {n} out of range")));
             }
-            let seg = a.seg_mut();
-            seg.bytes.resize(seg.bytes.len() + n as usize, 0);
+            let bytes = a.grow(n as u64, &ops[0])?;
+            bytes.resize(bytes.len() + n as usize, 0);
             Ok(())
         }
         ".align" => {
@@ -643,12 +678,11 @@ fn parse_directive(a: &mut Assembler, mn: &Tok, ops: &[Tok]) -> Result<(), AsmDi
             if n <= 0 || !(n as u64).is_power_of_two() {
                 return Err(ops[0].err(format!("alignment {n} is not a power of two")));
             }
-            let cursor = a.data_cursor();
-            let aligned = cursor.next_multiple_of(n as u32);
-            let pad = (aligned - cursor) as usize;
+            let cursor = u64::from(a.data_cursor());
+            let pad = cursor.next_multiple_of(n as u64) - cursor;
             if pad > 0 {
-                let seg = a.seg_mut();
-                seg.bytes.resize(seg.bytes.len() + pad, 0);
+                let bytes = a.grow(pad, &ops[0])?;
+                bytes.resize(bytes.len() + pad as usize, 0);
             }
             Ok(())
         }
@@ -924,7 +958,7 @@ fn parse_instruction(a: &mut Assembler, mn: &Tok, ops: &[Tok]) -> Result<(), Asm
 #[cfg(test)]
 mod tests {
     use super::*;
-    use secsim_isa::{assemble_text, decode, step, ArchState, MemIo};
+    use secsim_isa::{decode, step, ArchState, Asm, MemIo};
 
     fn run(img: &ProgramImage, max: usize) -> (ArchState, secsim_isa::FlatMem) {
         let mut w = img.workload("test");
@@ -942,16 +976,23 @@ mod tests {
     #[test]
     fn matches_isa_assembler_on_shared_grammar() {
         let src = "
+        # sum 100 + 99 + ... + 1
+
         li   r1, 100
-        li   r2, 0
+        li   r2, 0      ; accumulator
     top: add r2, r2, r1
         addi r1, r1, -1
         bne r1, r0, top
         halt
         ";
         let img = assemble(src).unwrap();
-        let words = assemble_text(src, CODE_BASE).unwrap();
-        assert_eq!(img.code, words, "same grammar, same encoding");
+        let mut a = Asm::new(CODE_BASE);
+        let top = a.new_label();
+        a.li(Reg::R1, 100).li(Reg::R2, 0);
+        a.bind(top).unwrap();
+        a.add(Reg::R2, Reg::R2, Reg::R1).addi(Reg::R1, Reg::R1, -1).bne(Reg::R1, Reg::R0, top);
+        a.halt();
+        assert_eq!(img.code, a.assemble().unwrap(), "same program, same encoding");
         assert_eq!(img.entry, CODE_BASE);
         let (st, _) = run(&img, 10_000);
         assert_eq!(st.reg(Reg::from_index(2)), 5050);
@@ -1029,6 +1070,18 @@ mod tests {
         let e = diag_of(".data\n.word oops\n");
         assert_eq!((e.line, e.col), (2, 7));
         assert_eq!(e.msg, "unknown label `oops`");
+
+        let e = diag_of("j nowhere\n");
+        assert_eq!((e.line, e.col), (1, 3));
+        assert_eq!(e.msg, "unknown label `nowhere`");
+
+        let e = diag_of("add r1, r2\n");
+        assert_eq!((e.line, e.col), (1, 1));
+        assert_eq!(e.msg, "`add` wants 3 operands, got 2");
+
+        let e = diag_of("lw r1, r2\n");
+        assert_eq!((e.line, e.col), (1, 8));
+        assert_eq!(e.msg, "expected `off(reg)`, got `r2`");
     }
 
     #[test]
@@ -1044,10 +1097,77 @@ mod tests {
     }
 
     #[test]
+    fn sources_and_images_past_the_address_space_are_typed_errors() {
+        // Each row panicked on a u32 overflow (or, in release builds,
+        // wrapped into a wrong answer) before cursors and region ends
+        // were checked.
+        let top = |what: &str| {
+            format!("{what} would end at 0x100000000, outside the 32-bit address space")
+        };
+        let rows = [
+            (
+                ".data\n.align 4294967296\n.text\nhalt\n",
+                (2, 8),
+                top("4293918720 bytes at 0x100000"),
+            ),
+            (".data 0xFFFFFFFC\n.word 1, 2\n", (2, 7), top("4 bytes at 0xfffffffc")),
+            (".base 0xFFFFFFFC\nhalt\nhalt\nhalt\n", (2, 1), top("code from 0xfffffffc")),
+            (".base 0xFFFFFFFC\nhalt\nx: halt\n", (2, 1), top("code from 0xfffffffc")),
+            (
+                ".footprint 2147483648\n.data 0x80000000\n.word 1\n",
+                (1, 12),
+                top("footprint 2147483648 from data base 0x80000000"),
+            ),
+            (
+                ".data 0xFFFFFFF0\n.zero 8\n.align 2147483648\n",
+                (3, 8),
+                top("8 bytes at 0xfffffff8"),
+            ),
+            (
+                ".data 0x10\n.word 1\n.data 0x90000010\n.word 2\n",
+                (4, 1),
+                "data [0x0, 0x90000014) spans more than any footprint (2^31 bytes)".to_string(),
+            ),
+            (
+                ".data 0xFFFFF000\n.word 1\n.text\nhalt\n",
+                (4, 1),
+                "protected region [0xfffff000, 0x100000000) ends outside the 32-bit address space"
+                    .to_string(),
+            ),
+            (".base 4294967296\nhalt\n", (1, 7), "code base 4294967296 out of range".to_string()),
+        ];
+        for (src, pos, msg) in rows {
+            let e = diag_of(src);
+            assert_eq!(((e.line, e.col), e.msg), (pos, msg), "{src:?}");
+        }
+
+        // The same limits guard `.sprog` images decoded from files and
+        // wire requests.
+        let good = assemble(".data 0x100000\n.word 1\n.text\nhalt\n").unwrap();
+        let mut high_code = good.clone();
+        (high_code.code_base, high_code.entry) = (0xFFFF_FFFC, 0xFFFF_FFFC);
+        let mut high_data = good;
+        (high_data.data_base, high_data.footprint) = (0x8000_0000, 0x8000_0000);
+        high_data.segments[0].addr = 0x8000_0000;
+        for (img, why) in [
+            (high_code, "code [0xfffffffc, 0x100000000) ends outside the 32-bit address space"),
+            (
+                high_data,
+                "protected region [0x80000000, 0x100000000) ends outside the 32-bit address space",
+            ),
+        ] {
+            let err = ProgramImage::from_bytes(&img.to_bytes());
+            assert_eq!(err, Err(ProgError::Invalid(why.to_string())));
+        }
+    }
+
+    #[test]
     fn numeric_branch_offsets_round_trip() {
         // The exact spellings Inst's Display prints.
-        let img = assemble("beq r1, r2, -1\nj 0\nandi r4, r5, 0xface\nillegal 0xdeadbeef\n")
-            .unwrap();
+        let img = assemble(
+            "beq r1, r2, -1\nj 0\nandi r4, r5, 0xface\nillegal 0xdeadbeef\naddi r1, r0, -0x10\n",
+        )
+        .unwrap();
         assert_eq!(decode(img.code[0]), Inst::Beq {
             rs1: Reg::from_index(1),
             rs2: Reg::from_index(2),
@@ -1055,6 +1175,7 @@ mod tests {
         });
         assert_eq!(decode(img.code[1]), Inst::J { off: 0 });
         assert_eq!(img.code[3], 0xDEAD_BEEF);
+        assert_eq!(decode(img.code[4]), Inst::Addi { rd: Reg::R1, rs1: Reg::R0, imm: -16 });
     }
 
     #[test]
@@ -1067,11 +1188,19 @@ mod tests {
             li  r1, slot
             li  r2, 0xABCD
             sw  r2, 0(r1)
+            j   load            ; forward, to a label sharing its line
+            li  r4, 99          ; never runs
+        load: lw r3, 0(r1)
+            jal double
             halt
+        double: add r3, r3, r3
+            ret
         ",
         )
         .unwrap();
-        let (_, mut mem) = run(&img, 100);
+        let (st, mut mem) = run(&img, 100);
         assert_eq!(mem.read_u32(0x10_0000), 0xABCD);
+        assert_eq!(st.reg(Reg::R3), 0xABCD * 2, "loaded, doubled by the call, returned");
+        assert_eq!(st.reg(Reg::R4), 0, "the forward `j` skipped its shadow");
     }
 }

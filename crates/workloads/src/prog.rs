@@ -161,15 +161,30 @@ impl ProgramImage {
         if !self.footprint.is_power_of_two() {
             return invalid(format!("footprint {} is not a power of two", self.footprint));
         }
-        if !self.entry.is_multiple_of(4) || self.entry < self.code_base || self.entry >= self.code_end() {
+        // Both ends must be addressable: every later use of `code_end`
+        // and `data_base + footprint` relies on it.
+        let code_end = u64::from(self.code_base) + 4 * self.code.len() as u64;
+        if code_end > u64::from(u32::MAX) {
+            return invalid(format!(
+                "code [{:#x}, {code_end:#x}) ends outside the 32-bit address space",
+                self.code_base
+            ));
+        }
+        let region_end = u64::from(self.data_base) + u64::from(self.footprint);
+        if region_end > u64::from(u32::MAX) {
+            return invalid(format!(
+                "protected region [{:#x}, {region_end:#x}) ends outside the 32-bit address space",
+                self.data_base
+            ));
+        }
+        let (code_end, region_end) = (code_end as u32, region_end as u32);
+        if !self.entry.is_multiple_of(4) || self.entry < self.code_base || self.entry >= code_end {
             return invalid(format!("entry {:#x} outside code", self.entry));
         }
-        if self.code_end() > self.data_base && self.data_base != 0 {
+        if code_end > self.data_base && self.data_base != 0 {
             return invalid(format!(
-                "code [{:#x}, {:#x}) overlaps data base {:#x}",
-                self.code_base,
-                self.code_end(),
-                self.data_base
+                "code [{:#x}, {code_end:#x}) overlaps data base {:#x}",
+                self.code_base, self.data_base
             ));
         }
         let mut prev_end = 0u32;
@@ -180,18 +195,16 @@ impl ProgramImage {
             let Some(end) = seg.addr.checked_add(seg.bytes.len() as u32) else {
                 return invalid(format!("segment {i} wraps the address space"));
             };
-            if seg.addr < self.code_end() && end > self.code_base {
+            if seg.addr < code_end && end > self.code_base {
                 return invalid(format!("segment {i} overlaps code"));
             }
             if i > 0 && seg.addr < prev_end {
                 return invalid(format!("segment {i} overlaps segment {}", i - 1));
             }
-            if seg.addr < self.data_base || end > self.data_base + self.footprint {
+            if seg.addr < self.data_base || end > region_end {
                 return invalid(format!(
-                    "segment {i} [{:#x}, {end:#x}) outside protected region [{:#x}, {:#x})",
-                    seg.addr,
-                    self.data_base,
-                    self.data_base + self.footprint
+                    "segment {i} [{:#x}, {end:#x}) outside protected region [{:#x}, {region_end:#x})",
+                    seg.addr, self.data_base
                 ));
             }
             prev_end = end;

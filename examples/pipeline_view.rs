@@ -8,11 +8,12 @@
 
 use secsim::core::Policy;
 use secsim::cpu::{render_timeline, SimConfig, SimSession};
-use secsim::isa::{assemble_text, FlatMem, MemIo};
+use secsim::isa::{FlatMem, MemIo};
+use secsim::workloads::assemble;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A miss, a use of the missed data, and some independent filler.
-    let words = assemble_text(
+    let words = assemble(
         "
         li   r5, 0x100000   # cold line -> L2 miss
         lw   r1, 0(r5)      # the miss
@@ -23,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lw   r4, 0(r2)      # dependent second miss
         halt
         ",
-        0x1000,
-    )?;
+    )?
+    .code;
     let mut mem = FlatMem::new(0x1000, 4 << 20);
     mem.load_words(0x1000, &words);
     mem.write_u32(0x10_0000, 0x20_0000);

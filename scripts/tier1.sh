@@ -24,12 +24,16 @@ scripts/bench_smoke.sh
 echo "== sweep smoke: fresh run, then cache hit =="
 SMOKE_RESULTS="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_RESULTS"' EXIT
-export SECSIM_RESULTS="$SMOKE_RESULTS"
-export SECSIM_INSTS=20000
-./target/release/fig11 > "$SMOKE_RESULTS/fresh.txt"
-[ "$(ls "$SMOKE_RESULTS/cache" | wc -l)" -gt 0 ] || {
+# Every stage below gets its own empty results dir; only the fig11 pair
+# runs on a shortened instruction budget.
+for stage in fig11 repro asm check oblivious faults serve serve-sigint chaos; do
+    mkdir "$SMOKE_RESULTS/$stage"
+done
+FIG11="$SMOKE_RESULTS/fig11"
+SECSIM_RESULTS="$FIG11" SECSIM_INSTS=20000 ./target/release/fig11 > "$SMOKE_RESULTS/fresh.txt"
+[ "$(ls "$FIG11/cache" | wc -l)" -gt 0 ] || {
     echo "FAIL: fresh sweep wrote no cache entries"; exit 1; }
-./target/release/fig11 > "$SMOKE_RESULTS/cached.txt"
+SECSIM_RESULTS="$FIG11" SECSIM_INSTS=20000 ./target/release/fig11 > "$SMOKE_RESULTS/cached.txt"
 cmp "$SMOKE_RESULTS/fresh.txt" "$SMOKE_RESULTS/cached.txt" || {
     echo "FAIL: cached sweep output differs from fresh run"; exit 1; }
 echo "cached output byte-identical to fresh run"
@@ -39,32 +43,32 @@ echo "== reproduction gate: every paper claim, from an empty results dir =="
 SECSIM_RESULTS="$SMOKE_RESULTS/repro" ./target/release/verify_repro
 
 echo "== asm smoke: assemble examples/*.sasm, diff vs golden .sprog, run baseline+commit =="
-./target/release/asm --smoke
+SECSIM_RESULTS="$SMOKE_RESULTS/asm" ./target/release/asm --smoke
 
 echo "== check-smoke: differential co-sim batch + checkpoint determinism, all policies, fixed seed =="
-./target/release/secsim-check --smoke --seed 2006
+SECSIM_RESULTS="$SMOKE_RESULTS/check" ./target/release/secsim-check --smoke --seed 2006
 
 echo "== oblivious-smoke: two-run secret-independence oracle, all policies =="
 # Obfuscation must show zero address divergences; every other policy
 # must demonstrably leak (the repros land under $SECSIM_RESULTS).
-./target/release/secsim-check oblivious --smoke --seed 2006
+SECSIM_RESULTS="$SMOKE_RESULTS/oblivious" ./target/release/secsim-check oblivious --smoke --seed 2006
 
 echo "== fault-smoke: injected-tamper campaign, all policies =="
-./target/release/faults --smoke
+SECSIM_RESULTS="$SMOKE_RESULTS/faults" ./target/release/faults --smoke
 
 echo "== serve-smoke: job server on an ephemeral port, 2 clients x 2-point grid =="
 # Asserts dedup fan-in (each unique point simulated exactly once for
 # both clients), byte-identical reports, and a clean drain on shutdown.
-./target/release/secsim-serve --smoke
+SECSIM_RESULTS="$SMOKE_RESULTS/serve" ./target/release/secsim-serve --smoke
 
 echo "== serve-sigint: Ctrl-C drains secsim-serve, exit 0 within 5 s =="
 # The binary owns SIGINT and turns it into a wire `shutdown`.
-scripts/serve_sigint_smoke.sh
+SECSIM_RESULTS="$SMOKE_RESULTS/serve-sigint" scripts/serve_sigint_smoke.sh
 
 echo "== chaos-smoke: seeded fault-injecting proxy, 2 clients, forced reconnects =="
 # Fixed seed, 90% fault rate: at least one reconnect is guaranteed (and
 # asserted), results must be byte-identical to a fault-free run, and the
 # server must have simulated each unique point exactly once.
-./target/release/chaos --smoke
+SECSIM_RESULTS="$SMOKE_RESULTS/chaos" ./target/release/chaos --smoke
 
 echo "== tier-1 OK =="
