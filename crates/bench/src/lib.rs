@@ -25,7 +25,6 @@ pub mod faultpoint;
 pub mod protocol;
 pub mod store;
 pub mod sweep;
-pub mod timing;
 
 pub use store::{ResultStore, StoreCounters};
 pub use sweep::{Sweep, SweepError, SweepPoint, SweepStats, CACHE_VERSION};

@@ -32,7 +32,10 @@
 //! A sweep point carries the **full** `SimConfig` — every field, no
 //! defaults filled in server-side — so the server reconstructs exactly
 //! the [`SweepPoint`] the client would have run
-//! in-process, its [`key()`](crate::SweepPoint::key) included. That is
+//! in-process, its [`key()`](crate::SweepPoint::key) included. The
+//! config's wire form, its share of the key and its validation all walk
+//! one field list ([`SimConfig::to_json`]); a config that fails
+//! [`SimConfig::validate`] is a `bad-request` naming the field. That is
 //! what makes server-returned reports byte-identical to local runs and
 //! lets N clients fan in on one simulation. External programs ship
 //! their serialized `.sprog` image as hex and are registered on the
@@ -56,10 +59,8 @@
 //! from the queue depth.
 
 use crate::{SweepError, SweepPoint};
-use secsim_core::{FaultKind, FetchGateVariant, Policy, SecureConfig};
-use secsim_cpu::{BPredConfig, CpuConfig, SimConfig, SimReport};
-use secsim_crypto::{CryptoLatency, EncryptionMode, MacScheme};
-use secsim_mem::{CacheConfig, DramConfig, MemSystemConfig, TlbConfig};
+use secsim_core::FaultKind;
+use secsim_cpu::{SimConfig, SimReport};
 use secsim_stats::{Json, StableHash, StableHasher};
 use secsim_workloads::{register_program, BenchId, ProgramImage};
 
@@ -393,12 +394,12 @@ pub fn sweep_error_from_json(v: &Json) -> Result<SweepError, String> {
 }
 
 // ---------------------------------------------------------------------
-// Sweep points and the full configuration tree
+// Sweep points
 // ---------------------------------------------------------------------
 
 /// One sweep point as JSON: benchmark identity (external programs ship
 /// their `.sprog` image as hex), seed, warmup, and the complete
-/// `SimConfig`.
+/// `SimConfig` ([`SimConfig::to_json`]).
 pub fn point_to_json(p: &SweepPoint) -> Json {
     let bench = match p.bench {
         BenchId::External(id) => Json::obj(vec![
@@ -411,11 +412,12 @@ pub fn point_to_json(p: &SweepPoint) -> Json {
         ("bench", bench),
         ("seed", Json::UInt(p.seed)),
         ("warmup", Json::UInt(p.warmup_insts)),
-        ("cfg", config_to_json(&p.cfg)),
+        ("cfg", p.cfg.to_json()),
     ])
 }
 
-/// Parses what [`point_to_json`] rendered. External programs are
+/// Parses what [`point_to_json`] rendered; the config must pass
+/// [`SimConfig::validate`]. External programs are
 /// registered in this process's program registry (idempotent by content
 /// hash), so the reconstructed point's cache key is identical to the
 /// sender's.
@@ -437,354 +439,8 @@ pub fn point_from_json(v: &Json) -> Result<SweepPoint, String> {
         bench,
         seed: u64_field(v, "seed")?,
         warmup_insts: u64_field(v, "warmup")?,
-        cfg: config_from_json(v.get("cfg").ok_or("point carries no \"cfg\"")?)?,
-    })
-}
-
-/// The complete `SimConfig` as JSON — every field explicit, so a config
-/// round-trips bit-exactly and the server never fills in defaults that
-/// could skew a cache key.
-pub fn config_to_json(c: &SimConfig) -> Json {
-    Json::obj(vec![
-        ("cpu", cpu_to_json(&c.cpu)),
-        ("mem", mem_to_json(&c.mem)),
-        ("secure", secure_to_json(&c.secure)),
-        ("max_insts", Json::UInt(c.max_insts)),
-        ("max_cycles", Json::UInt(c.max_cycles)),
-    ])
-}
-
-/// Parses what [`config_to_json`] rendered.
-pub fn config_from_json(v: &Json) -> Result<SimConfig, String> {
-    Ok(SimConfig {
-        cpu: cpu_from_json(v.get("cpu").ok_or("cfg carries no \"cpu\"")?)?,
-        mem: mem_from_json(v.get("mem").ok_or("cfg carries no \"mem\"")?)?,
-        secure: secure_from_json(v.get("secure").ok_or("cfg carries no \"secure\"")?)?,
-        max_insts: u64_field(v, "max_insts")?,
-        max_cycles: u64_field(v, "max_cycles")?,
-    })
-}
-
-fn cpu_to_json(c: &CpuConfig) -> Json {
-    Json::obj(vec![
-        ("fetch_width", Json::UInt(c.fetch_width.into())),
-        ("decode_width", Json::UInt(c.decode_width.into())),
-        ("issue_width", Json::UInt(c.issue_width.into())),
-        ("commit_width", Json::UInt(c.commit_width.into())),
-        ("ruu_size", Json::UInt(c.ruu_size.into())),
-        ("lsq_size", Json::UInt(c.lsq_size.into())),
-        ("store_buffer", Json::UInt(c.store_buffer.into())),
-        ("frontend_depth", Json::UInt(c.frontend_depth)),
-        ("mispredict_redirect", Json::UInt(c.mispredict_redirect)),
-        ("int_alu", Json::UInt(c.int_alu.into())),
-        ("int_mul", Json::UInt(c.int_mul.into())),
-        ("fp_alu", Json::UInt(c.fp_alu.into())),
-        ("fp_mul", Json::UInt(c.fp_mul.into())),
-        ("mem_ports", Json::UInt(c.mem_ports.into())),
-        (
-            "bpred",
-            Json::obj(vec![
-                ("bimodal_entries", Json::UInt(c.bpred.bimodal_entries.into())),
-                ("btb_entries", Json::UInt(c.bpred.btb_entries.into())),
-                ("ras_depth", Json::UInt(c.bpred.ras_depth.into())),
-            ]),
-        ),
-    ])
-}
-
-fn cpu_from_json(v: &Json) -> Result<CpuConfig, String> {
-    let b = v.get("bpred").ok_or("cpu carries no \"bpred\"")?;
-    Ok(CpuConfig {
-        fetch_width: u32_field(v, "fetch_width")?,
-        decode_width: u32_field(v, "decode_width")?,
-        issue_width: u32_field(v, "issue_width")?,
-        commit_width: u32_field(v, "commit_width")?,
-        ruu_size: u32_field(v, "ruu_size")?,
-        lsq_size: u32_field(v, "lsq_size")?,
-        store_buffer: u32_field(v, "store_buffer")?,
-        frontend_depth: u64_field(v, "frontend_depth")?,
-        mispredict_redirect: u64_field(v, "mispredict_redirect")?,
-        int_alu: u32_field(v, "int_alu")?,
-        int_mul: u32_field(v, "int_mul")?,
-        fp_alu: u32_field(v, "fp_alu")?,
-        fp_mul: u32_field(v, "fp_mul")?,
-        mem_ports: u32_field(v, "mem_ports")?,
-        bpred: BPredConfig {
-            bimodal_entries: u32_field(b, "bimodal_entries")?,
-            btb_entries: u32_field(b, "btb_entries")?,
-            ras_depth: u32_field(b, "ras_depth")?,
-        },
-    })
-}
-
-fn mem_to_json(m: &MemSystemConfig) -> Json {
-    Json::obj(vec![
-        ("l1i", cache_to_json(&m.l1i)),
-        ("l1d", cache_to_json(&m.l1d)),
-        ("l2", cache_to_json(&m.l2)),
-        (
-            "dram",
-            Json::obj(vec![
-                ("banks", Json::UInt(m.dram.banks.into())),
-                ("row_bytes", Json::UInt(m.dram.row_bytes.into())),
-                ("cas", Json::UInt(m.dram.cas)),
-                ("rcd", Json::UInt(m.dram.rcd)),
-                ("rp", Json::UInt(m.dram.rp)),
-                ("core_per_bus", Json::UInt(m.dram.core_per_bus)),
-                ("bus_bytes", Json::UInt(m.dram.bus_bytes.into())),
-            ]),
-        ),
-        ("itlb", tlb_to_json(&m.itlb)),
-        ("dtlb", tlb_to_json(&m.dtlb)),
-        ("prefetch_next_line", Json::Bool(m.prefetch_next_line)),
-    ])
-}
-
-fn mem_from_json(v: &Json) -> Result<MemSystemConfig, String> {
-    let d = v.get("dram").ok_or("mem carries no \"dram\"")?;
-    Ok(MemSystemConfig {
-        l1i: cache_from_json(v.get("l1i").ok_or("mem carries no \"l1i\"")?)?,
-        l1d: cache_from_json(v.get("l1d").ok_or("mem carries no \"l1d\"")?)?,
-        l2: cache_from_json(v.get("l2").ok_or("mem carries no \"l2\"")?)?,
-        dram: DramConfig {
-            banks: u32_field(d, "banks")?,
-            row_bytes: u32_field(d, "row_bytes")?,
-            cas: u64_field(d, "cas")?,
-            rcd: u64_field(d, "rcd")?,
-            rp: u64_field(d, "rp")?,
-            core_per_bus: u64_field(d, "core_per_bus")?,
-            bus_bytes: u32_field(d, "bus_bytes")?,
-        },
-        itlb: tlb_from_json(v.get("itlb").ok_or("mem carries no \"itlb\"")?)?,
-        dtlb: tlb_from_json(v.get("dtlb").ok_or("mem carries no \"dtlb\"")?)?,
-        prefetch_next_line: bool_field(v, "prefetch_next_line")?,
-    })
-}
-
-fn cache_to_json(c: &CacheConfig) -> Json {
-    Json::obj(vec![
-        ("size_bytes", Json::UInt(c.size_bytes.into())),
-        ("line_bytes", Json::UInt(c.line_bytes.into())),
-        ("assoc", Json::UInt(c.assoc.into())),
-        ("latency", Json::UInt(c.latency)),
-    ])
-}
-
-fn cache_from_json(v: &Json) -> Result<CacheConfig, String> {
-    Ok(CacheConfig {
-        size_bytes: u32_field(v, "size_bytes")?,
-        line_bytes: u32_field(v, "line_bytes")?,
-        assoc: u32_field(v, "assoc")?,
-        latency: u64_field(v, "latency")?,
-    })
-}
-
-fn tlb_to_json(t: &TlbConfig) -> Json {
-    Json::obj(vec![
-        ("entries", Json::UInt(t.entries.into())),
-        ("assoc", Json::UInt(t.assoc.into())),
-        ("page_bytes", Json::UInt(t.page_bytes.into())),
-        ("miss_penalty", Json::UInt(t.miss_penalty)),
-    ])
-}
-
-fn tlb_from_json(v: &Json) -> Result<TlbConfig, String> {
-    Ok(TlbConfig {
-        entries: u32_field(v, "entries")?,
-        assoc: u32_field(v, "assoc")?,
-        page_bytes: u32_field(v, "page_bytes")?,
-        miss_penalty: u64_field(v, "miss_penalty")?,
-    })
-}
-
-fn secure_to_json(s: &SecureConfig) -> Json {
-    let c = &s.ctrl;
-    Json::obj(vec![
-        ("policy", policy_to_json(&s.policy)),
-        (
-            "ctrl",
-            Json::obj(vec![
-                (
-                    "crypto",
-                    Json::obj(vec![
-                        ("aes_cycles", Json::UInt(c.crypto.aes_cycles)),
-                        ("sha_block_cycles", Json::UInt(c.crypto.sha_block_cycles)),
-                        ("gmac_cycles", Json::UInt(c.crypto.gmac_cycles)),
-                    ]),
-                ),
-                (
-                    "enc_mode",
-                    Json::Str(
-                        match c.enc_mode {
-                            EncryptionMode::CounterMode => "counter",
-                            EncryptionMode::Cbc => "cbc",
-                        }
-                        .into(),
-                    ),
-                ),
-                (
-                    "mac_scheme",
-                    Json::Str(
-                        match c.mac_scheme {
-                            MacScheme::HmacSha256 => "hmac-sha256",
-                            MacScheme::CbcMacAes => "cbc-mac-aes",
-                            MacScheme::GmacAes => "gmac-aes",
-                        }
-                        .into(),
-                    ),
-                ),
-                ("authenticate", Json::Bool(c.authenticate)),
-                (
-                    "queue",
-                    Json::obj(vec![
-                        ("capacity", Json::UInt(c.queue.capacity as u64)),
-                        ("mac_latency", Json::UInt(c.queue.mac_latency)),
-                        ("initiation_interval", Json::UInt(c.queue.initiation_interval)),
-                    ]),
-                ),
-                ("counter_cache", cache_to_json(&c.counter_cache)),
-                ("mac_bytes", Json::UInt(c.mac_bytes.into())),
-                ("ctr_predict", Json::Bool(c.ctr_predict)),
-                ("lazy_delay", Json::UInt(c.lazy_delay)),
-                (
-                    "tree",
-                    match &c.tree {
-                        None => Json::Null,
-                        Some(t) => Json::obj(vec![
-                            ("arity", Json::UInt(t.arity)),
-                            ("region_base", Json::UInt(t.region_base.into())),
-                            ("covered_lines", Json::UInt(t.covered_lines)),
-                            ("line_bytes", Json::UInt(t.line_bytes.into())),
-                            ("node_cache", cache_to_json(&t.node_cache)),
-                            ("hash_latency", Json::UInt(t.hash_latency)),
-                            ("concurrent", Json::Bool(t.concurrent)),
-                            ("counter_tree", Json::Bool(t.counter_tree)),
-                        ]),
-                    },
-                ),
-                (
-                    "obf",
-                    match &c.obf {
-                        None => Json::Null,
-                        Some(o) => Json::obj(vec![
-                            ("region_base", Json::UInt(o.region_base.into())),
-                            ("region_lines", Json::UInt(o.region_lines.into())),
-                            ("line_bytes", Json::UInt(o.line_bytes.into())),
-                            ("remap_cache", cache_to_json(&o.remap_cache)),
-                            ("seed", Json::UInt(o.seed)),
-                            ("swap_writes", Json::Bool(o.swap_writes)),
-                            ("chunk_lines", Json::UInt(o.chunk_lines.into())),
-                        ]),
-                    },
-                ),
-            ]),
-        ),
-    ])
-}
-
-fn secure_from_json(v: &Json) -> Result<SecureConfig, String> {
-    use secsim_core::{AuthQueueConfig, CtrlConfig, ObfConfig, TreeConfig};
-    let c = v.get("ctrl").ok_or("secure carries no \"ctrl\"")?;
-    let crypto = c.get("crypto").ok_or("ctrl carries no \"crypto\"")?;
-    let q = c.get("queue").ok_or("ctrl carries no \"queue\"")?;
-    let tree = match c.get("tree") {
-        None | Some(Json::Null) => None,
-        Some(t) => Some(TreeConfig {
-            arity: u64_field(t, "arity")?,
-            region_base: u32_field(t, "region_base")?,
-            covered_lines: u64_field(t, "covered_lines")?,
-            line_bytes: u32_field(t, "line_bytes")?,
-            node_cache: cache_from_json(t.get("node_cache").ok_or("tree carries no cache")?)?,
-            hash_latency: u64_field(t, "hash_latency")?,
-            concurrent: bool_field(t, "concurrent")?,
-            counter_tree: bool_field(t, "counter_tree")?,
-        }),
-    };
-    let obf = match c.get("obf") {
-        None | Some(Json::Null) => None,
-        Some(o) => Some(ObfConfig {
-            region_base: u32_field(o, "region_base")?,
-            region_lines: u32_field(o, "region_lines")?,
-            line_bytes: u32_field(o, "line_bytes")?,
-            remap_cache: cache_from_json(o.get("remap_cache").ok_or("obf carries no cache")?)?,
-            seed: u64_field(o, "seed")?,
-            swap_writes: bool_field(o, "swap_writes")?,
-            chunk_lines: u32_field(o, "chunk_lines")?,
-        }),
-    };
-    Ok(SecureConfig {
-        policy: policy_from_json(v.get("policy").ok_or("secure carries no \"policy\"")?)?,
-        ctrl: CtrlConfig {
-            crypto: CryptoLatency {
-                aes_cycles: u64_field(crypto, "aes_cycles")?,
-                sha_block_cycles: u64_field(crypto, "sha_block_cycles")?,
-                gmac_cycles: u64_field(crypto, "gmac_cycles")?,
-            },
-            enc_mode: match str_field(c, "enc_mode")? {
-                "counter" => EncryptionMode::CounterMode,
-                "cbc" => EncryptionMode::Cbc,
-                other => return Err(format!("unknown enc_mode {other:?}")),
-            },
-            mac_scheme: match str_field(c, "mac_scheme")? {
-                "hmac-sha256" => MacScheme::HmacSha256,
-                "cbc-mac-aes" => MacScheme::CbcMacAes,
-                "gmac-aes" => MacScheme::GmacAes,
-                other => return Err(format!("unknown mac_scheme {other:?}")),
-            },
-            authenticate: bool_field(c, "authenticate")?,
-            queue: AuthQueueConfig {
-                capacity: u64_field(q, "capacity")? as usize,
-                mac_latency: u64_field(q, "mac_latency")?,
-                initiation_interval: u64_field(q, "initiation_interval")?,
-            },
-            counter_cache: cache_from_json(
-                c.get("counter_cache").ok_or("ctrl carries no \"counter_cache\"")?,
-            )?,
-            mac_bytes: u32_field(c, "mac_bytes")?,
-            ctr_predict: bool_field(c, "ctr_predict")?,
-            lazy_delay: u64_field(c, "lazy_delay")?,
-            tree,
-            obf,
-        },
-    })
-}
-
-/// A `Policy` as JSON (used by sweep configs and fault requests).
-pub fn policy_to_json(p: &Policy) -> Json {
-    Json::obj(vec![
-        ("authenticate", Json::Bool(p.authenticate)),
-        ("gate_issue", Json::Bool(p.gate_issue)),
-        ("gate_commit", Json::Bool(p.gate_commit)),
-        ("gate_write", Json::Bool(p.gate_write)),
-        ("gate_fetch", Json::Bool(p.gate_fetch)),
-        (
-            "fetch_variant",
-            Json::Str(
-                match p.fetch_variant {
-                    FetchGateVariant::LastRequestTag => "last-request-tag",
-                    FetchGateVariant::Drain => "drain",
-                }
-                .into(),
-            ),
-        ),
-        ("obfuscate", Json::Bool(p.obfuscate)),
-    ])
-}
-
-/// Parses what [`policy_to_json`] rendered.
-pub fn policy_from_json(v: &Json) -> Result<Policy, String> {
-    Ok(Policy {
-        authenticate: bool_field(v, "authenticate")?,
-        gate_issue: bool_field(v, "gate_issue")?,
-        gate_commit: bool_field(v, "gate_commit")?,
-        gate_write: bool_field(v, "gate_write")?,
-        gate_fetch: bool_field(v, "gate_fetch")?,
-        fetch_variant: match str_field(v, "fetch_variant")? {
-            "last-request-tag" => FetchGateVariant::LastRequestTag,
-            "drain" => FetchGateVariant::Drain,
-            other => return Err(format!("unknown fetch_variant {other:?}")),
-        },
-        obfuscate: bool_field(v, "obfuscate")?,
+        cfg: SimConfig::from_json(v.get("cfg").ok_or("point carries no \"cfg\"")?)
+            .map_err(|e| e.to_string())?,
     })
 }
 
@@ -827,14 +483,6 @@ fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing integer field {key:?}"))
 }
 
-fn u32_field(v: &Json, key: &str) -> Result<u32, String> {
-    u64_field(v, key)?.try_into().map_err(|_| format!("field {key:?} exceeds u32"))
-}
-
-fn bool_field(v: &Json, key: &str) -> Result<bool, String> {
-    v.get(key).and_then(Json::as_bool).ok_or_else(|| format!("missing boolean field {key:?}"))
-}
-
 fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
     v.get(key).and_then(Json::as_str).ok_or_else(|| format!("missing string field {key:?}"))
 }
@@ -863,7 +511,259 @@ pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sim_config_id, RunOpts};
+    use crate::{sim_config_id, L2Size, RunOpts, Sweep};
+    use secsim_core::{FetchGateVariant, Policy};
+
+    /// Dotted paths of every value in `v` that is not an object.
+    fn leaf_paths(v: &Json, prefix: &str, out: &mut Vec<String>) {
+        let Json::Object(pairs) = v else { return };
+        for (k, x) in pairs {
+            let path = if prefix.is_empty() { k.clone() } else { format!("{prefix}.{k}") };
+            match x {
+                Json::Object(_) => leaf_paths(x, &path, out),
+                _ => out.push(path),
+            }
+        }
+    }
+
+    fn at_path<'a>(mut v: &'a mut Json, path: &str) -> &'a mut Json {
+        for key in path.split('.') {
+            let Json::Object(pairs) = v else { panic!("{path}: {key} is not in an object") };
+            v = &mut pairs.iter_mut().find(|(k, _)| k == key).expect("path exists").1;
+        }
+        v
+    }
+
+    /// Every control point (both fetch-gate variants), both L2 sizes,
+    /// hash tree off and on; commit+obfuscation carries the obfuscation
+    /// engine.
+    fn pin_grid() -> Vec<SweepPoint> {
+        let policies = [
+            Policy::baseline(),
+            Policy::authen_then_issue(),
+            Policy::authen_then_commit(),
+            Policy::authen_then_write(),
+            Policy::authen_then_fetch(),
+            Policy::authen_then_fetch().with_fetch_variant(FetchGateVariant::Drain),
+            Policy::commit_plus_fetch(),
+            Policy::commit_plus_obfuscation(),
+        ];
+        let mut points = Vec::new();
+        for l2 in [L2Size::K256, L2Size::M1] {
+            for tree in [false, true] {
+                for policy in policies {
+                    let opts = RunOpts { l2, tree, max_insts: 20_000, ..RunOpts::default() };
+                    points.push(SweepPoint::of(BenchId::Mcf, policy, &opts));
+                }
+            }
+        }
+        points
+    }
+
+    /// The sweep request line's bytes, pinned by length and digest (the
+    /// values the per-field codec this schema replaced rendered): a
+    /// change to any config field's wire name, order or encoding moves
+    /// them.
+    #[test]
+    fn sweep_request_line_is_pinned() {
+        let points = pin_grid();
+        let line = sweep_request_v2(&points);
+        let mut h = StableHasher::new();
+        h.write(line.as_bytes());
+        assert_eq!((line.len(), h.finish()), (46_793, 0xf045_7662_6e8b_f0b4));
+        // Points share a key exactly when they share a config (the
+        // baseline builds no tree, so its tree column repeats).
+        for a in &points {
+            for b in &points {
+                assert_eq!(
+                    a.key() == b.key(),
+                    a.cfg == b.cfg,
+                    "{} vs {}",
+                    a.cfg.secure.policy,
+                    b.cfg.secure.policy
+                );
+            }
+        }
+    }
+
+    /// Changing any one config field, to any value the decoder accepts,
+    /// changes the point's cache key: the wire form and the key walk the
+    /// same fields.
+    #[test]
+    fn every_config_field_moves_the_key() {
+        let opts = RunOpts { tree: true, max_insts: 9_999, ..RunOpts::default() };
+        let full = SweepPoint::of(BenchId::Mcf, Policy::commit_plus_obfuscation(), &opts);
+        let bare = SweepPoint::of(BenchId::Mcf, Policy::baseline(), &RunOpts::default());
+        let names = [
+            "counter",
+            "cbc",
+            "hmac-sha256",
+            "cbc-mac-aes",
+            "gmac-aes",
+            "last-request-tag",
+            "drain",
+        ];
+        let mut moved = 0;
+        for (base, other) in [(&full, &bare), (&bare, &full)] {
+            let wire = base.cfg.to_json();
+            let mut paths = Vec::new();
+            leaf_paths(&wire, "", &mut paths);
+            for path in paths {
+                let candidates: Vec<Json> = match at_path(&mut wire.clone(), &path).clone() {
+                    Json::Bool(b) => vec![Json::Bool(!b)],
+                    Json::Str(s) => {
+                        names.iter().filter(|&&n| n != s).map(|&n| Json::Str(n.into())).collect()
+                    }
+                    Json::Null => vec![at_path(&mut other.cfg.to_json(), &path).clone()],
+                    n => {
+                        let x = n.as_u64().expect("integer leaf");
+                        [x.checked_add(1), x.checked_mul(2), Some(x / 2), x.checked_sub(1)]
+                            .into_iter()
+                            .flatten()
+                            .map(Json::UInt)
+                            .collect()
+                    }
+                };
+                let cfg = candidates
+                    .into_iter()
+                    .find_map(|to| {
+                        let mut w = wire.clone();
+                        *at_path(&mut w, &path) = to;
+                        SimConfig::from_json(&w).ok().filter(|c| *c != base.cfg)
+                    })
+                    .unwrap_or_else(|| panic!("{path}: no other value decodes"));
+                let changed = SweepPoint { cfg, ..base.clone() };
+                assert_ne!(changed.key(), base.key(), "{path} does not reach the key");
+                moved += 1;
+            }
+        }
+        assert!(moved > 90, "only {moved} fields moved");
+    }
+
+    /// Fields the model divides by, allocates from or needs one of.
+    const NONZERO_FIELDS: [&str; 50] = [
+        "cpu.fetch_width",
+        "cpu.decode_width",
+        "cpu.issue_width",
+        "cpu.commit_width",
+        "cpu.ruu_size",
+        "cpu.lsq_size",
+        "cpu.store_buffer",
+        "cpu.int_alu",
+        "cpu.int_mul",
+        "cpu.fp_alu",
+        "cpu.fp_mul",
+        "cpu.mem_ports",
+        "cpu.bpred.bimodal_entries",
+        "cpu.bpred.btb_entries",
+        "cpu.bpred.ras_depth",
+        "mem.l1i.size_bytes",
+        "mem.l1i.line_bytes",
+        "mem.l1i.assoc",
+        "mem.l1d.size_bytes",
+        "mem.l1d.line_bytes",
+        "mem.l1d.assoc",
+        "mem.l2.size_bytes",
+        "mem.l2.line_bytes",
+        "mem.l2.assoc",
+        "mem.dram.banks",
+        "mem.dram.row_bytes",
+        "mem.dram.core_per_bus",
+        "mem.dram.bus_bytes",
+        "mem.itlb.entries",
+        "mem.itlb.assoc",
+        "mem.itlb.page_bytes",
+        "mem.dtlb.entries",
+        "mem.dtlb.assoc",
+        "mem.dtlb.page_bytes",
+        "secure.ctrl.queue.capacity",
+        "secure.ctrl.queue.mac_latency",
+        "secure.ctrl.counter_cache.size_bytes",
+        "secure.ctrl.counter_cache.line_bytes",
+        "secure.ctrl.counter_cache.assoc",
+        "secure.ctrl.tree.arity",
+        "secure.ctrl.tree.line_bytes",
+        "secure.ctrl.tree.node_cache.size_bytes",
+        "secure.ctrl.tree.node_cache.line_bytes",
+        "secure.ctrl.tree.node_cache.assoc",
+        "secure.ctrl.obf.region_lines",
+        "secure.ctrl.obf.line_bytes",
+        "secure.ctrl.obf.remap_cache.size_bytes",
+        "secure.ctrl.obf.remap_cache.line_bytes",
+        "secure.ctrl.obf.remap_cache.assoc",
+        "secure.ctrl.obf.chunk_lines",
+    ];
+
+    /// Each integer config field set to zero in turn, through
+    /// `parse_request`: a field in [`NONZERO_FIELDS`] is a `bad-request`
+    /// naming it, and every other field still simulates. Zeroed pairs
+    /// that a cross-field check divides by are refused naming one.
+    #[test]
+    fn zeroed_config_fields_are_refused_by_name_or_simulate() {
+        let opts =
+            RunOpts { tree: true, max_insts: 3_000, max_cycles: 20_000, ..RunOpts::default() };
+        let point = SweepPoint::of(BenchId::Gzip, Policy::commit_plus_obfuscation(), &opts);
+        let request = Json::parse(&sweep_request_v2(std::slice::from_ref(&point))).unwrap();
+        let zeroed = |paths: &[&str]| {
+            let mut line = request.clone();
+            let Json::Object(top) = &mut line else { unreachable!() };
+            let Json::Array(points) = &mut top[2].1 else { panic!("points array") };
+            for path in paths {
+                *at_path(&mut points[0], &format!("cfg.{path}")) = Json::UInt(0);
+            }
+            parse_request(&line.render())
+        };
+        for pair in [
+            ["mem.itlb.entries", "mem.itlb.assoc"],
+            ["mem.l2.size_bytes", "mem.l2.assoc"],
+            ["mem.l2.size_bytes", "mem.l2.line_bytes"],
+            ["secure.ctrl.obf.remap_cache.size_bytes", "secure.ctrl.obf.remap_cache.assoc"],
+        ] {
+            let e = zeroed(&pair).unwrap_err();
+            assert_eq!(e.code, codes::BAD_REQUEST, "{pair:?}: {e}");
+            let named = |f: &&str| e.detail.starts_with(&format!("point 0: {f} "));
+            assert!(pair.iter().any(named), "{pair:?}: {e}");
+        }
+        let mut paths = Vec::new();
+        leaf_paths(&point.cfg.to_json(), "", &mut paths);
+        let mut refused = Vec::new();
+        let mut accepted = Vec::new();
+        for path in paths {
+            if at_path(&mut point.cfg.to_json(), &path).as_u64().is_none() {
+                continue;
+            }
+            match zeroed(&[&path]) {
+                Err(e) => {
+                    assert_eq!(e.code, codes::BAD_REQUEST, "{path}: {e}");
+                    assert!(e.detail.starts_with(&format!("point 0: {path} ")), "{path}: {e}");
+                    refused.push(path);
+                }
+                Ok(Request::Sweep { points }) => accepted.push((path, points[0].clone())),
+                Ok(other) => panic!("{path}: parsed as {other:?}"),
+            }
+        }
+        assert_eq!(refused, NONZERO_FIELDS, "exactly the non-zero fields are refused at zero");
+        let grid: Vec<SweepPoint> = accepted.iter().map(|(_, p)| p.clone()).collect();
+        let reports = Sweep::new().without_cache().with_jobs(2).run(&grid);
+        for ((path, _), r) in accepted.iter().zip(reports) {
+            assert!(r.is_ok(), "{path} = 0 passed validation but did not simulate: {r:?}");
+        }
+        assert!(accepted.len() >= 25, "only {} zero-tolerant fields", accepted.len());
+    }
+
+    /// A line's objects may carry many keys: the duplicate check sorts
+    /// rather than comparing every pair, and still refuses duplicates.
+    #[test]
+    fn objects_with_many_keys_parse_in_near_linear_time() {
+        let keys: String = (0..40_000).map(|i| format!(",\"k{i}\":{i}")).collect();
+        let line = format!("{{\"v\":2,\"kind\":\"status\"{keys}}}");
+        let started = std::time::Instant::now();
+        assert!(matches!(parse_request(&line), Ok(Request::Status)));
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "40 000 keys took {took:?}");
+        let dup = format!("{{\"v\":2,\"kind\":\"status\"{keys},\"k123\":0}}");
+        assert_eq!(parse_request(&dup).unwrap_err().code, codes::MALFORMED_JSON);
+    }
 
     #[test]
     fn hex_round_trip() {

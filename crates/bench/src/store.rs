@@ -636,6 +636,19 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_entry_is_a_miss() {
+        let dir = temp_dir("nested");
+        let store = ResultStore::new(dir.clone());
+        store.put("mcf", 7, &report(5));
+        // A crafted entry in a shared store: parsing it must not
+        // overflow the loading thread's stack.
+        fs::write(store.entry_path("mcf", 7), "[".repeat(100_000)).unwrap();
+        assert!(store.load("mcf", 7).is_none());
+        assert_eq!(store.counters().bad_entries, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn claim_is_exclusive_and_released_on_drop() {
         let dir = temp_dir("claim");
         let store = ResultStore::new(dir.clone());

@@ -111,9 +111,10 @@ impl From<ParseBenchError> for SweepError {
 
 /// Salt for every cache key. Bump when the simulator's *behaviour*
 /// changes in a way that is not visible in `SimConfig` (model fixes,
-/// workload-generation changes), so stale entries can never be
-/// mistaken for fresh results.
-pub const CACHE_VERSION: u64 = 2;
+/// workload-generation changes), or when the key's encoding changes,
+/// so stale entries can never be mistaken for fresh results. Version 3
+/// hashes configs through the `SimConfig` schema walk.
+pub const CACHE_VERSION: u64 = 3;
 
 /// One cell of a sweep grid: a workload plus the exact configuration to
 /// simulate it under.
@@ -681,6 +682,25 @@ mod tests {
         // processes loading the same file).
         let a2 = BenchId::External(mk("dup", 10));
         assert_eq!(pa.key(), SweepPoint::of(a2, Policy::baseline(), &opts()).key());
+    }
+
+    /// Per-point isolation: a point that panics (here in
+    /// `SimSession::new`, which refuses a zero commit width by name)
+    /// becomes a typed hole and its neighbours still run.
+    #[test]
+    fn invalid_config_degrades_to_a_typed_hole() {
+        let good = SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts());
+        let mut bad = good.clone();
+        bad.cfg.cpu.commit_width = 0;
+        let out = Sweep::new().without_cache().with_jobs(2).run(&[good.clone(), bad, good]);
+        assert!(out[0].is_ok() && out[2].is_ok(), "neighbours of the hole complete");
+        match &out[1] {
+            Err(SweepError::Failed { bench, detail }) => {
+                assert_eq!(bench, "gzip");
+                assert!(detail.starts_with("invalid SimConfig: cpu.commit_width "), "{detail}");
+            }
+            other => panic!("the invalid point must be a typed hole, got {other:?}"),
+        }
     }
 
     #[test]

@@ -57,7 +57,6 @@ mod config;
 mod ctrl;
 mod encmem;
 mod faults;
-mod fingerprint;
 mod merkle;
 mod obfuscate;
 mod policy;

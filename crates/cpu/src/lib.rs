@@ -63,11 +63,11 @@
 
 mod bpred;
 mod config;
-mod fingerprint;
 mod observe;
 mod pipeline;
 mod report;
 mod sched;
+mod schema;
 mod session;
 mod trace;
 mod viz;
@@ -77,6 +77,7 @@ pub use config::{CpuConfig, SimConfig};
 pub use observe::RetireRecord;
 pub use pipeline::SecureImage;
 pub use report::{AuthException, ControlEvent, IoEvent, SimReport};
+pub use schema::ConfigError;
 pub use secsim_core::{Exposure, FaultEvent, FaultKind, FaultPlan, TamperCause};
 pub use session::{SimOutcome, SimRun, SimSession};
 pub use trace::{SimTrace, StallBreakdown, StallCause, TraceConfig, TraceEvent};

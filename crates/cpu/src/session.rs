@@ -181,7 +181,16 @@ pub struct SimSession<'a> {
 
 impl<'a> SimSession<'a> {
     /// A session with no observers: a bare pipeline run.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` fails [`SimConfig::validate`]; the message names the
+    /// field. Configs from untrusted input should be checked (or decoded
+    /// with [`SimConfig::from_json`]) first.
     pub fn new(cfg: &SimConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid SimConfig: {e}");
+        }
         Self {
             cfg: *cfg,
             bus_mode: BusTraceMode::Off,

@@ -54,14 +54,21 @@ impl CacheConfig {
         addr & !(self.line_bytes - 1)
     }
 
-    fn validate(&self) {
-        assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
-        assert!(self.assoc >= 1, "associativity must be at least 1");
-        assert!(
-            self.size_bytes.is_multiple_of(self.line_bytes * self.assoc),
-            "size must be a multiple of line_bytes * assoc"
-        );
-        assert!(self.sets().is_power_of_two(), "set count must be a power of two");
+    /// Checks the power-of-two geometry [`Cache::new`] relies on; the
+    /// error names the field at fault and what it must be.
+    pub fn validate(&self) -> Result<(), (&'static str, &'static str)> {
+        if !self.line_bytes.is_power_of_two() {
+            return Err(("line_bytes", "must be a power of two"));
+        }
+        if self.assoc == 0 {
+            return Err(("assoc", "must be at least 1"));
+        }
+        let way = u64::from(self.line_bytes) * u64::from(self.assoc);
+        let size = u64::from(self.size_bytes);
+        if !size.is_multiple_of(way) || !(size / way).is_power_of_two() {
+            return Err(("size_bytes", "must be line_bytes * assoc times a power-of-two set count"));
+        }
+        Ok(())
     }
 }
 
@@ -135,9 +142,11 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is not power-of-two shaped.
+    /// Panics if the configuration fails [`CacheConfig::validate`].
     pub fn new(cfg: CacheConfig) -> Self {
-        cfg.validate();
+        if let Err((field, problem)) = cfg.validate() {
+            panic!("cache {field} {problem}");
+        }
         let n = (cfg.sets() * cfg.assoc) as usize;
         Self {
             cfg,

@@ -34,7 +34,6 @@
 mod cache;
 mod channel;
 mod dram;
-mod fingerprint;
 mod hierarchy;
 mod tlb;
 

@@ -25,6 +25,23 @@ impl TlbConfig {
     pub fn paper_reference() -> Self {
         Self { entries: 128, assoc: 4, page_bytes: 4096, miss_penalty: 30 }
     }
+
+    /// Checks the power-of-two geometry [`Tlb::new`] relies on; the
+    /// error names the field at fault and what it must be.
+    pub fn validate(&self) -> Result<(), (&'static str, &'static str)> {
+        if self.assoc == 0 {
+            return Err(("assoc", "must be at least 1"));
+        }
+        if !self.page_bytes.is_power_of_two() {
+            return Err(("page_bytes", "must be a power of two"));
+        }
+        if !self.entries.is_multiple_of(self.assoc)
+            || !(self.entries / self.assoc).is_power_of_two()
+        {
+            return Err(("entries", "must be assoc times a power-of-two set count"));
+        }
+        Ok(())
+    }
 }
 
 impl Default for TlbConfig {
@@ -71,11 +88,11 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics unless `entries` is a power-of-two multiple of `assoc`.
+    /// Panics if the configuration fails [`TlbConfig::validate`].
     pub fn new(cfg: TlbConfig) -> Self {
-        assert!(cfg.assoc >= 1 && cfg.entries.is_multiple_of(cfg.assoc));
-        assert!((cfg.entries / cfg.assoc).is_power_of_two());
-        assert!(cfg.page_bytes.is_power_of_two());
+        if let Err((field, problem)) = cfg.validate() {
+            panic!("TLB {field} {problem}");
+        }
         Self {
             cfg,
             entries: vec![Entry { vpn: 0, valid: false, lru: 0 }; cfg.entries as usize],

@@ -11,6 +11,7 @@
 use secsim_bench::chaos::{ChaosPlan, ChaosProxy};
 use secsim_bench::client::{self, ClientError, ClientStats, RetryPolicy};
 use secsim_bench::protocol::{self, codes};
+use secsim_bench::store::Claim;
 use secsim_bench::{ResultStore, RunOpts, Sweep, SweepError, SweepPoint};
 use secsim_core::Policy;
 use secsim_server::{JobServer, ServerConfig};
@@ -154,41 +155,78 @@ fn chaotic_network_cannot_corrupt_or_duplicate_results() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Worker panic isolation: a point doctored to panic inside the
-/// simulator degrades to a typed `SweepError` hole; its siblings
-/// complete, the worker survives, and the next job runs normally.
+/// A point that misses the job deadline degrades to a typed hole at its
+/// grid index: the `point-done` event carries the error, its siblings
+/// complete, and the next job runs normally. The point is held back by
+/// a store claim another store user keeps, so it waits rather than
+/// burns a core.
 #[test]
-fn panicking_point_degrades_to_a_typed_hole_and_the_worker_survives() {
-    let dir = temp_dir("panic");
-    let (addr, handle) = spawn_server(server_cfg(dir.join("store")));
+fn late_point_degrades_to_a_typed_hole_and_the_worker_survives() {
+    let dir = temp_dir("late");
+    let cfg = ServerConfig { job_timeout: Duration::from_secs(2), ..server_cfg(dir.join("store")) };
+    let (addr, handle) = spawn_server(cfg);
 
     let opts = RunOpts { max_insts: 8_000, ..RunOpts::default() };
-    let mut poisoned = SweepPoint::of(BenchId::Gzip, Policy::authen_then_issue(), &opts);
-    // A zero commit width trips the pipeline's "width must be positive"
-    // assertion on construction: a deterministic, instant panic.
-    poisoned.cfg.cpu.commit_width = 0;
+    let late = SweepPoint::of(BenchId::Gzip, Policy::authen_then_issue(), &opts);
+    let Claim::Won(Some(ticket)) = ResultStore::new(dir.join("store")).claim(late.key()) else {
+        panic!("the test claims the late point first");
+    };
     let points = vec![
         SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts),
-        poisoned,
+        late,
         SweepPoint::of(BenchId::Mcf, Policy::baseline(), &opts),
     ];
 
-    let results = client::run_sweep(&addr, &points).expect("job completes despite the panic");
-    assert!(results[0].is_ok(), "healthy point before the panic completes");
+    let results = client::run_sweep(&addr, &points).expect("job completes despite the hole");
+    assert!(results[0].is_ok(), "healthy point before the hole completes");
     match &results[1] {
         Err(SweepError::Failed { bench, detail }) => {
             assert_eq!(bench, "gzip");
+            assert!(detail.starts_with("job watchdog"), "the hole must say why, got: {detail}");
+        }
+        other => panic!("the late point must be a typed hole, got {other:?}"),
+    }
+    assert!(results[2].is_ok(), "healthy point after the hole completes");
+
+    drop(ticket);
+    let after = client::run_sweep(&addr, &grid()).expect("next job runs after the hole");
+    assert!(after.iter().all(Result::is_ok), "the follow-up job is unaffected");
+
+    client::shutdown(&addr).expect("shutdown");
+    handle.join().expect("server thread").expect("serve returns");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A point the model cannot simulate never reaches a worker: a zero
+/// commit width is refused at submission with a typed `bad-request`
+/// naming the point and field, the server stays up, and the next job
+/// runs normally.
+#[test]
+fn invalid_point_is_refused_by_name_and_the_server_survives() {
+    let dir = temp_dir("invalid");
+    let (addr, handle) = spawn_server(server_cfg(dir.join("store")));
+
+    let opts = RunOpts { max_insts: 8_000, ..RunOpts::default() };
+    let mut invalid = SweepPoint::of(BenchId::Gzip, Policy::authen_then_issue(), &opts);
+    invalid.cfg.cpu.commit_width = 0;
+    let points = vec![
+        SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts),
+        invalid,
+        SweepPoint::of(BenchId::Mcf, Policy::baseline(), &opts),
+    ];
+
+    match client::run_sweep(&addr, &points) {
+        Err(ClientError::Server { code, detail, .. }) => {
+            assert_eq!(code, codes::BAD_REQUEST);
             assert!(
-                detail.contains("width must be positive"),
-                "the typed hole must carry the panic message, got: {detail}"
+                detail.starts_with("point 1: cpu.commit_width "),
+                "the refusal must name the point and the field, got: {detail}"
             );
         }
-        other => panic!("poisoned point must be a typed hole, got {other:?}"),
+        other => panic!("an invalid grid must be refused, got {other:?}"),
     }
-    assert!(results[2].is_ok(), "healthy point after the panic completes");
 
-    // The worker pool survived: a follow-up job runs normally.
-    let after = client::run_sweep(&addr, &grid()).expect("next job runs after the panic");
+    let after = client::run_sweep(&addr, &grid()).expect("next job runs after the refusal");
     assert!(after.iter().all(Result::is_ok), "the follow-up job is unaffected");
 
     client::shutdown(&addr).expect("shutdown");

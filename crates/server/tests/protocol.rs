@@ -108,6 +108,30 @@ fn oversized_request_is_refused_with_a_typed_error() {
     stop(&addr, handle, &dir);
 }
 
+/// A line of 10 000 `[` nests far deeper than `Json::MAX_DEPTH`: it is
+/// `malformed-json`, and the connection thread (on a default 2 MiB
+/// stack) survives to answer `status` on the same connection.
+#[test]
+fn deeply_nested_line_is_malformed_and_the_session_survives() {
+    let dir = temp_dir("nested");
+    let (addr, handle) = spawn_server(&dir);
+
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut ask = |line: &str| -> Json {
+        writeln!(writer, "{line}").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        Json::parse(reply.trim()).expect("reply parses")
+    };
+    let ev = ask(&"[".repeat(10_000));
+    assert_eq!(ev.get("code").and_then(Json::as_str), Some(codes::MALFORMED_JSON));
+    let ev = ask("{\"v\":2,\"kind\":\"status\"}");
+    assert_eq!(ev.get("event").and_then(Json::as_str), Some("status"));
+    stop(&addr, handle, &dir);
+}
+
 /// A stream that ends mid-request gets a best-effort `truncated` error.
 #[test]
 fn truncated_stream_is_answered_with_a_typed_error() {

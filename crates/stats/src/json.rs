@@ -48,6 +48,12 @@ pub enum Json {
 }
 
 impl Json {
+    /// How deep [`Json::parse`] lets arrays and objects nest. Everything
+    /// the workspace writes nests under ten levels; the parser recurses
+    /// once per level, and this bound keeps that well inside a 2 MiB
+    /// thread stack.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Builds an object from key/value pairs.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
         Json::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -168,8 +174,11 @@ impl Json {
 
     /// Parses a JSON document (must be a single value with only trailing
     /// whitespace after it).
+    ///
+    /// Arrays and objects may nest at most [`Json::MAX_DEPTH`] deep, so a
+    /// hostile document cannot overflow the parsing thread's stack.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -198,6 +207,14 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Whether two of an object's keys are equal, by sorting them: a hostile
+/// object with n keys costs O(n log n), not O(n²) pairwise compares.
+fn has_duplicate_key(pairs: &[(String, Json)]) -> bool {
+    let mut keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys.windows(2).any(|w| w[0] == w[1])
+}
+
 /// A parse failure with byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -218,6 +235,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -259,12 +278,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == Json::MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {} levels", Json::MAX_DEPTH)));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -301,9 +333,6 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if pairs.iter().any(|(k, _)| *k == key) {
-                return Err(self.err("duplicate object key"));
-            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -313,6 +342,9 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
+                    if has_duplicate_key(&pairs) {
+                        return Err(self.err("duplicate object key"));
+                    }
                     self.pos += 1;
                     return Ok(Json::Object(pairs));
                 }
@@ -499,6 +531,33 @@ mod tests {
     fn rejects_garbage() {
         for text in ["", "nul", "[1,]", "{\"a\":}", "{\"a\":1,\"a\":2}", "1 2", "\"\\q\""] {
             assert!(Json::parse(text).is_err(), "{text:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(Json::MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(Json::MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (Json::MAX_DEPTH, "nesting deeper than 128 levels")
+        );
+        let deep = Json::MAX_DEPTH + 1;
+        let objects = format!("{}1{}", "{\"a\":".repeat(deep), "}".repeat(deep));
+        assert!(Json::parse(&objects).is_err());
+        // Unbounded recursion would overflow this thread's stack long
+        // before the end of the input.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_are_refused_at_any_size() {
+        for n in [2, 3, 1_000] {
+            let keys: Vec<String> = (0..n).map(|i| format!("\"k{i}\":{i}")).collect();
+            assert!(Json::parse(&format!("{{{}}}", keys.join(","))).is_ok(), "{n} distinct keys");
+            let dup = format!("{{{},\"k{}\":0}}", keys.join(","), n / 2);
+            assert!(Json::parse(&dup).is_err(), "{n} keys plus a duplicate");
         }
     }
 

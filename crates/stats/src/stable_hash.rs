@@ -58,6 +58,7 @@ impl StableHasher {
     }
 
     /// Absorbs raw bytes.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
@@ -66,6 +67,7 @@ impl StableHasher {
     }
 
     /// Absorbs a `u64` as 8 little-endian bytes.
+    #[inline]
     pub fn write_u64(&mut self, x: u64) {
         self.write(&x.to_le_bytes());
     }

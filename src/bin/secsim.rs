@@ -146,6 +146,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         max_insts: args.num("insts", 1_000_000)?,
         max_cycles: args.num("cycles", 0)?,
     };
+    cfg.validate().map_err(|e| format!("run: {e}"))?;
     eprintln!("running {bench} under {policy} ({} L2)...", args.get("l2").unwrap_or("256k"));
     let trace = args.flag("trace") || args.get("trace-out").is_some();
     let chrome_path = args.get("chrome-trace");
