@@ -4,10 +4,12 @@
 //! reports byte-identical to an in-process [`Sweep`].
 
 use secsim_bench::protocol::{self, codes, MAX_REQUEST_BYTES};
+use secsim_bench::store::Claim;
 use secsim_bench::{client, faultpoint, ResultStore, RunOpts, Sweep, SweepPoint};
 use secsim_core::Policy;
+use secsim_cpu::{AuthException, IoEvent, SimReport, StallBreakdown, StallCause};
 use secsim_server::{JobServer, ServerConfig};
-use secsim_stats::Json;
+use secsim_stats::{CounterSet, Json, StableHasher};
 use secsim_workloads::BenchId;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -186,28 +188,35 @@ fn server_reports_are_byte_identical_to_in_process_sweep_across_policies() {
 }
 
 /// Sends one request line on a fresh connection and reads event lines
-/// until `complete` or an `error`. The read timeout turns a server that
-/// falls silent into a test failure instead of a hung suite.
-fn exchange(addr: &str, request: &str) -> Vec<Json> {
+/// until `complete` or an `error`, returning them as sent (without the
+/// newline). The read timeout turns a server that falls silent into a
+/// test failure instead of a hung suite.
+fn exchange_lines(addr: &str, request: &str) -> Vec<String> {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
     writeln!(writer, "{request}").expect("send");
-    let mut events = vec![];
+    let mut lines = vec![];
     loop {
         let mut line = String::new();
-        let n = reader.read_line(&mut line).unwrap_or_else(|e| {
-            panic!("no event after {} for {request}: {e}", events.len())
-        });
-        assert!(n > 0, "connection closed after {} events for {request}", events.len());
-        let ev = Json::parse(line.trim()).expect("event parses");
-        let kind = ev.get("event").and_then(Json::as_str).map(str::to_string);
-        events.push(ev);
-        if matches!(kind.as_deref(), Some("complete" | "error")) {
-            return events;
+        let n = reader
+            .read_line(&mut line)
+            .unwrap_or_else(|e| panic!("no event after {} for {request}: {e}", lines.len()));
+        assert!(n > 0, "connection closed after {} events for {request}", lines.len());
+        assert_eq!(line.pop(), Some('\n'), "every event is one whole line");
+        let ev = Json::parse(&line).expect("event parses");
+        let last = matches!(ev.get("event").and_then(Json::as_str), Some("complete" | "error"));
+        lines.push(line);
+        if last {
+            return lines;
         }
     }
+}
+
+/// [`exchange_lines`], parsed.
+fn exchange(addr: &str, request: &str) -> Vec<Json> {
+    exchange_lines(addr, request).iter().map(|l| Json::parse(l).expect("event parses")).collect()
 }
 
 /// A one-point sweep job run to completion over the raw protocol:
@@ -272,5 +281,130 @@ fn resume_cursor_at_u64_max_is_refused_without_poisoning_the_job() {
     assert_eq!(again[0].get("attached").and_then(Json::as_bool), Some(true));
     assert_eq!(again[0].get("job").and_then(Json::as_u64), Some(job));
     assert_eq!(again.last().and_then(|e| e.get("event")).and_then(Json::as_str), Some("complete"));
+    stop(&addr, handle, &dir);
+}
+
+/// Length and `StableHasher` digest of a wire line.
+fn line_pin(line: &str) -> (usize, u64) {
+    let mut h = StableHasher::new();
+    h.write(line.as_bytes());
+    (line.len(), h.finish())
+}
+
+/// A report no simulation produced, with every field populated, so the
+/// pinned bytes depend only on the wire encoding.
+fn seeded_report() -> SimReport {
+    let mut counters = CounterSet::new();
+    counters.add("l2.miss", 7);
+    counters.add("pipe.commit", 1_007);
+    let mut stall = StallBreakdown::new();
+    stall.add(StallCause::DcacheMiss, 4_321);
+    SimReport {
+        insts: 20_000,
+        cycles: 31_337,
+        halted: true,
+        exception: Some(AuthException { cycle: 30_000, line_addr: 0x4_0040, precise: true }),
+        io_events: vec![IoEvent { port: 9, value: 0xdead_beef, cycle: 31_000 }],
+        counters,
+        stall,
+        ..SimReport::default()
+    }
+}
+
+/// The `point-done` line's bytes, pinned by length and digest for a
+/// report the server loads from its store and for a typed hole (a
+/// point held back by another store user's claim past a 1 s job
+/// deadline). The report is published under the first point's key
+/// before the server starts, so the line does not depend on the model.
+#[test]
+fn point_done_lines_are_pinned() {
+    let dir = temp_dir("pins");
+    let opts = RunOpts { max_insts: 8_000, ..RunOpts::default() };
+    let stored = SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts);
+    let late = SweepPoint::of(BenchId::Mcf, Policy::authen_then_issue(), &opts);
+    let store = ResultStore::new(dir.join("store"));
+    assert!(store.put(stored.bench.name(), stored.key(), &seeded_report()), "entry published");
+    let Claim::Won(Some(ticket)) = store.claim(late.key()) else {
+        panic!("the test claims the late point first");
+    };
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        job_timeout: Duration::from_secs(1),
+        store_dir: dir.join("store"),
+        ..ServerConfig::default()
+    };
+    let server = JobServer::bind(&cfg).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let handle = std::thread::spawn(move || server.serve());
+
+    let lines = exchange_lines(&addr, &protocol::sweep_request_v2(&[stored, late]));
+    assert_eq!(lines.len(), 5, "queued, running, two point-done, complete: {lines:?}");
+    assert!(lines[2].starts_with(r#"{"event":"point-done","job":0,"index":0,"report":{"#));
+    assert_eq!(
+        line_pin(&lines[2]),
+        (527, 0x6226_f614_486d_e80b),
+        "report line changed: {}",
+        lines[2]
+    );
+    assert_eq!(
+        line_pin(&lines[3]),
+        (141, 0xd6b0_2093_a414_7aa4),
+        "hole line changed: {}",
+        lines[3]
+    );
+    drop(ticket);
+    stop(&addr, handle, &dir);
+}
+
+/// The `report` object of a `point-done` line, as sent.
+fn report_payload(line: &str) -> &str {
+    let start = line.find(r#","report":"#).expect("a report") + r#","report":"#.len();
+    let end = line.rfind(r#","seq":"#).expect("a seq");
+    &line[start..end]
+}
+
+/// Checks one job's stream: `seq` rises by exactly one from 1, and each
+/// grid index gets exactly one `point-done`. Returns each index's line.
+fn point_done_by_index(lines: &[String], points: usize) -> Vec<String> {
+    let events: Vec<Json> = lines.iter().map(|l| Json::parse(l).expect("event parses")).collect();
+    let seqs: Vec<u64> =
+        events.iter().filter_map(|e| e.get("seq").and_then(Json::as_u64)).collect();
+    assert_eq!(seqs, (1..=seqs.len() as u64).collect::<Vec<_>>(), "seq must rise without a gap");
+    let mut by_index = vec![None; points];
+    for (line, ev) in lines.iter().zip(&events) {
+        if ev.get("event").and_then(Json::as_str) == Some("point-done") {
+            let i = ev.get("index").and_then(Json::as_u64).expect("an index") as usize;
+            assert!(by_index[i].replace(line.clone()).is_none(), "index {i} arrived twice");
+        }
+    }
+    by_index.into_iter().map(|l| l.expect("every index arrives")).collect()
+}
+
+/// A second job over the same two points plus a new one, in another
+/// order, is served from the memo: its memo-hit `report` payloads are
+/// byte-identical to the first job's, nothing is simulated twice, and
+/// both streams are whole.
+#[test]
+fn memo_hits_resend_the_first_jobs_report_bytes() {
+    let dir = temp_dir("memo");
+    let (addr, handle) = spawn_server(&dir);
+    let opts = RunOpts { max_insts: 8_000, ..RunOpts::default() };
+    let a = SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts);
+    let b = SweepPoint::of(BenchId::Mcf, Policy::authen_then_commit(), &opts);
+    let c = SweepPoint::of(BenchId::Gzip, Policy::authen_then_issue(), &opts);
+
+    let first = point_done_by_index(
+        &exchange_lines(&addr, &protocol::sweep_request_v2(&[a.clone(), b.clone()])),
+        2,
+    );
+    let second =
+        point_done_by_index(&exchange_lines(&addr, &protocol::sweep_request_v2(&[c, b, a])), 3);
+    assert_eq!(report_payload(&second[2]), report_payload(&first[0]), "point a");
+    assert_eq!(report_payload(&second[1]), report_payload(&first[1]), "point b");
+
+    let status = client::status(&addr).expect("status");
+    let sweep = |k: &str| status.get("sweep").and_then(|s| s.get(k)).and_then(Json::as_u64);
+    assert_eq!((sweep("simulated"), sweep("memo_hits")), (Some(3), Some(2)));
     stop(&addr, handle, &dir);
 }
