@@ -355,6 +355,38 @@ pub fn result_to_json(r: &Result<SimReport, SweepError>) -> (&'static str, Json)
     }
 }
 
+/// Renders the `point-done` event of grid point `index` of `job`, with
+/// sequence number `seq`. A report comes already rendered (the text of
+/// [`SimReport::to_json`], which the server's memo keeps from
+/// [`Sweep::run_point_rendered`](crate::Sweep::run_point_rendered)) and is
+/// copied into the line as is. The line is byte-identical to the event
+/// object built from [`result_to_json`]'s payload and rendered whole.
+pub fn point_done_line(
+    job: u64,
+    index: u64,
+    result: Result<&str, &SweepError>,
+    seq: u64,
+) -> String {
+    let mut pairs = vec![
+        ("event", Json::Str("point-done".into())),
+        ("job", Json::UInt(job)),
+        ("index", Json::UInt(index)),
+    ];
+    if let Err(e) = result {
+        pairs.push(("error", sweep_error_to_json(e)));
+    }
+    let mut line = Json::obj(pairs).render();
+    line.pop(); // reopen the object for the fields that follow
+    if let Ok(report) = result {
+        line.push_str(",\"report\":");
+        line.push_str(report);
+    }
+    line.push_str(",\"seq\":");
+    line.push_str(&Json::UInt(seq).render());
+    line.push('}');
+    line
+}
+
 /// Parses what [`result_to_json`] rendered (from a `point-done` event).
 pub fn result_from_json(v: &Json) -> Result<Result<SimReport, SweepError>, String> {
     if let Some(r) = v.get("report") {
@@ -558,6 +590,34 @@ mod tests {
             }
         }
         points
+    }
+
+    /// A `point-done` line with a spliced report, or with an error, is
+    /// byte-identical to rendering the whole event object.
+    #[test]
+    fn point_done_line_matches_the_rendered_event() {
+        let opts = RunOpts { max_insts: 3_000, ..RunOpts::default() };
+        let point = SweepPoint::of(BenchId::Gzip, Policy::authen_then_commit(), &opts);
+        let sweep = Sweep::new().without_cache();
+        let report = sweep.run_point(&point);
+        let hole: Result<SimReport, SweepError> =
+            Err(SweepError::Failed { bench: "gzip".into(), detail: "a \"quoted\" detail".into() });
+        for r in [report, hole] {
+            let (key, payload) = result_to_json(&r);
+            let whole = Json::obj(vec![
+                ("event", Json::Str("point-done".into())),
+                ("job", Json::UInt(7)),
+                ("index", Json::UInt(71)),
+                (key, payload),
+                ("seq", Json::UInt(73)),
+            ])
+            .render();
+            let rendered = match &r {
+                Ok(_) => sweep.run_point_rendered(&point),
+                Err(e) => Err(e.clone()),
+            };
+            assert_eq!(point_done_line(7, 71, rendered.as_deref(), 73), whole);
+        }
     }
 
     /// The sweep request line's bytes, pinned by length and digest (the

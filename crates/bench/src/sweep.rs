@@ -71,7 +71,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Why a sweep point produced no report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,21 +187,44 @@ impl SweepPoint {
     }
 }
 
+/// A memoized report, and its JSON rendered the first time someone asks
+/// for it ([`Sweep::run_point_rendered`]).
+#[derive(Debug)]
+struct Memo {
+    report: SimReport,
+    json: OnceLock<Arc<str>>,
+}
+
+impl Memo {
+    fn new(report: SimReport) -> Self {
+        Self { report, json: OnceLock::new() }
+    }
+
+    fn json(&self) -> Arc<str> {
+        let json = self.json.get_or_init(|| {
+            // Sweeps never trace, so every report they hold serializes.
+            let json = self.report.to_json().expect("sweep reports carry no instruction timings");
+            json.render().into()
+        });
+        Arc::clone(json)
+    }
+}
+
 /// In-process fan-in gate: the first worker to hit a missing key owns
 /// it; everyone else blocks here until the owner publishes the outcome.
 #[derive(Debug, Default)]
 struct Gate {
-    outcome: Mutex<Option<Result<SimReport, SweepError>>>,
+    outcome: Mutex<Option<Result<Arc<Memo>, SweepError>>>,
     ready: Condvar,
 }
 
 impl Gate {
-    fn publish(&self, out: &Result<SimReport, SweepError>) {
+    fn publish(&self, out: &Result<Arc<Memo>, SweepError>) {
         *self.outcome.lock().expect("gate poisoned") = Some(out.clone());
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> Result<SimReport, SweepError> {
+    fn wait(&self) -> Result<Arc<Memo>, SweepError> {
         let mut slot = self.outcome.lock().expect("gate poisoned");
         while slot.is_none() {
             slot = self.ready.wait(slot).expect("gate poisoned");
@@ -240,8 +263,10 @@ pub struct Sweep {
     trace_out: Mutex<Option<PathBuf>>,
     /// In-process memo so repeated grids (verify_repro's geomeans, the
     /// shared baselines of the figure tables) simulate at most once per
-    /// process even with caching disabled.
-    memo: Mutex<HashMap<u64, SimReport>>,
+    /// process even with caching disabled. An entry also keeps its
+    /// report's rendered JSON once asked for, so the server renders each
+    /// report once however many jobs it is sent to.
+    memo: Mutex<HashMap<u64, Arc<Memo>>>,
     /// Keys currently being simulated by some worker of this sweep;
     /// concurrent requests for the same key block on the gate instead of
     /// duplicating the run.
@@ -483,9 +508,9 @@ impl Sweep {
             let mut todo = Vec::new();
             for (i, p) in points.iter().enumerate() {
                 match memo.get(&p.key()) {
-                    Some(r) => {
+                    Some(m) => {
                         self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                        *slots[i].lock().expect("slot") = Some(Ok(r.clone()));
+                        *slots[i].lock().expect("slot") = Some(Ok(m.report.clone()));
                     }
                     None => todo.push(i),
                 }
@@ -522,10 +547,25 @@ impl Sweep {
     /// worker pool does); each distinct key simulates at most once per
     /// store, and everyone else fans in.
     pub fn run_point(&self, p: &SweepPoint) -> Result<SimReport, SweepError> {
+        self.resolve(p).map(|m| m.report.clone())
+    }
+
+    /// [`run_point`](Sweep::run_point), answered with the report's JSON
+    /// ([`SimReport::to_json`]) rendered instead of a copy of the report.
+    /// The text is made on a key's first request and kept in the memo
+    /// beside the report, so later requests neither copy the report nor
+    /// render it again. The job server streams these bytes.
+    pub fn run_point_rendered(&self, p: &SweepPoint) -> Result<Arc<str>, SweepError> {
+        self.resolve(p).map(|m| m.json())
+    }
+
+    /// The dedup stack behind [`run_point`](Sweep::run_point), answering
+    /// with the point's memo entry.
+    fn resolve(&self, p: &SweepPoint) -> Result<Arc<Memo>, SweepError> {
         let key = p.key();
-        if let Some(r) = self.memo.lock().expect("memo poisoned").get(&key) {
+        if let Some(m) = self.memo.lock().expect("memo poisoned").get(&key) {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(r.clone());
+            return Ok(Arc::clone(m));
         }
         let gate = {
             use std::collections::hash_map::Entry;
@@ -541,9 +581,9 @@ impl Sweep {
                 Entry::Vacant(v) => Arc::clone(v.insert(Arc::new(Gate::default()))),
             }
         };
-        let out = self.resolve_uncontended(p, key);
-        if let Ok(r) = &out {
-            self.memo.lock().expect("memo poisoned").insert(key, r.clone());
+        let out = self.resolve_uncontended(p, key).map(|r| Arc::new(Memo::new(r)));
+        if let Ok(m) = &out {
+            self.memo.lock().expect("memo poisoned").insert(key, Arc::clone(m));
         }
         // Publish-before-remove: a worker arriving after the removal
         // finds the memo entry instead; one arriving before holds the
@@ -716,6 +756,19 @@ mod tests {
         let stats = sweep.stats();
         assert_eq!(stats.simulated, 1);
         assert_eq!(stats.memo_hits, 1);
+    }
+
+    /// The rendered report is made once per memo entry: every later
+    /// request shares the same text, which is the report's `to_json`.
+    #[test]
+    fn rendered_report_is_made_once_per_memo_entry() {
+        let sweep = Sweep::new().without_cache();
+        let p = SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts());
+        let first = sweep.run_point_rendered(&p).unwrap();
+        let again = sweep.run_point_rendered(&p).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "a memo hit reuses the rendered text");
+        assert_eq!(*first, sweep.run_point(&p).unwrap().to_json().unwrap().render());
+        assert_eq!((sweep.stats().simulated, sweep.stats().memo_hits), (1, 2));
     }
 
     #[test]

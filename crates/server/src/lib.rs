@@ -50,10 +50,9 @@
 
 use secsim_bench::protocol::{self, codes, Request};
 use secsim_bench::{faultpoint, results_dir, ResultStore, Sweep, SweepError, SweepPoint};
-use secsim_cpu::SimReport;
 use secsim_stats::{Json, Timeline};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -130,7 +129,8 @@ struct EventBuf {
     first_seq: u64,
     /// Sequence number the next pushed event will get.
     next_seq: u64,
-    events: VecDeque<String>,
+    /// Whole wire lines, newline included; followers share them.
+    events: VecDeque<Arc<str>>,
     /// Set once, after the final (`complete`) event.
     done: bool,
 }
@@ -253,20 +253,31 @@ impl Shared {
         ])
     }
 
-    /// Appends one event to a job's history, assigning its sequence
-    /// number and applying the retention cap. Wakes every follower.
-    fn push_event(&self, state: &JobState, mut pairs: Vec<(&str, Json)>) {
+    /// Appends one event to a job's history: `render` gets the event's
+    /// sequence number and returns its line. Applies the retention cap
+    /// and wakes every follower.
+    fn push_line(&self, state: &JobState, render: impl FnOnce(u64) -> String) {
         let mut buf = state.buf.lock().expect("event buf poisoned");
         let seq = buf.next_seq;
         buf.next_seq += 1;
-        pairs.push(("seq", Json::UInt(seq)));
-        buf.events.push_back(Json::obj(pairs).render());
+        let mut line = render(seq);
+        line.push('\n');
+        buf.events.push_back(line.into());
         while buf.events.len() > self.retain_events {
             buf.events.pop_front();
             buf.first_seq += 1;
         }
         drop(buf);
         state.ready.notify_all();
+    }
+
+    /// [`push_line`](Shared::push_line) for the event object `pairs`,
+    /// which gets its `seq` field last.
+    fn push_event(&self, state: &JobState, mut pairs: Vec<(&str, Json)>) {
+        self.push_line(state, |seq| {
+            pairs.push(("seq", Json::UInt(seq)));
+            Json::obj(pairs).render()
+        });
     }
 
     /// Marks a job's stream finished and applies completed-job
@@ -502,11 +513,12 @@ fn run_job(shared: &Arc<Shared>, state: &Arc<JobState>, kind: &JobKind) -> (u64,
     }
 }
 
-/// Runs one point with panic isolation: a panicking point becomes a
-/// typed [`SweepError::Failed`] hole instead of killing the runner
-/// thread (and with it the worker's job).
-fn run_point_isolated(shared: &Arc<Shared>, point: &SweepPoint) -> Result<SimReport, SweepError> {
-    match catch_unwind(AssertUnwindSafe(|| shared.sweep.run_point(point))) {
+/// Runs one point with panic isolation, answering with its report's
+/// rendered JSON, which the sweep's memo keeps: a panicking point
+/// becomes a typed [`SweepError::Failed`] hole instead of killing the
+/// runner thread (and with it the worker's job).
+fn run_point_isolated(shared: &Arc<Shared>, point: &SweepPoint) -> Result<Arc<str>, SweepError> {
+    match catch_unwind(AssertUnwindSafe(|| shared.sweep.run_point_rendered(point))) {
         Ok(r) => r,
         Err(payload) => {
             let msg = payload
@@ -534,7 +546,7 @@ fn run_sweep_job(
     points: Arc<Vec<SweepPoint>>,
 ) -> (u64, u64) {
     let n = points.len();
-    let (ptx, prx) = mpsc::channel::<(usize, Result<SimReport, SweepError>)>();
+    let (ptx, prx) = mpsc::channel::<(usize, Result<Arc<str>, SweepError>)>();
     let next = Arc::new(AtomicUsize::new(0));
     for _ in 0..shared.threads.min(n) {
         let shared = Arc::clone(shared);
@@ -568,16 +580,9 @@ fn run_sweep_job(
                 } else {
                     failed += 1;
                 }
-                let (key, payload) = protocol::result_to_json(&r);
-                shared.push_event(
-                    state,
-                    vec![
-                        ("event", Json::Str("point-done".into())),
-                        ("job", Json::UInt(state.id)),
-                        ("index", Json::UInt(i as u64)),
-                        (key, payload),
-                    ],
-                );
+                shared.push_line(state, |seq| {
+                    protocol::point_done_line(state.id, i as u64, r.as_deref(), seq)
+                });
             }
             Err(_) => break, // deadline passed (or all runners gone)
         }
@@ -595,15 +600,8 @@ fn run_sweep_job(
                 shared.job_timeout.as_secs()
             ),
         };
-        shared.push_event(
-            state,
-            vec![
-                ("event", Json::Str("point-done".into())),
-                ("job", Json::UInt(state.id)),
-                ("index", Json::UInt(i as u64)),
-                ("error", protocol::sweep_error_to_json(&err)),
-            ],
-        );
+        shared
+            .push_line(state, |seq| protocol::point_done_line(state.id, i as u64, Err(&err), seq));
     }
     (ok, failed)
 }
@@ -726,6 +724,28 @@ impl Drop for StreamGuard<'_> {
     }
 }
 
+/// Sends one line (an event or a typed error) in a single write.
+fn send_line(writer: &mut TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())
+}
+
+/// Sends a batch of event lines with vectored writes: one `writev` for
+/// up to the system's `IOV_MAX` lines, with no copy into a send buffer.
+fn send_lines(writer: &mut TcpStream, lines: &[Arc<str>]) -> std::io::Result<()> {
+    let mut slices: Vec<IoSlice> = lines.iter().map(|l| IoSlice::new(l.as_bytes())).collect();
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match writer.write_vectored(unsent) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// Replays a job's events with sequence numbers `> since` to the
 /// client, waiting for new ones until the job completes. Answers
 /// `resume-too-old` when the retention cap already discarded requested
@@ -744,7 +764,8 @@ fn follow(
         enum Step {
             TooOld(u64),
             PastEnd(u64),
-            Batch(Vec<String>, bool),
+            /// Events ready to send, and whether the job is done.
+            Batch(Vec<Arc<str>>, bool),
         }
         let step = {
             let mut buf = state.buf.lock().expect("event buf poisoned");
@@ -761,8 +782,7 @@ fn follow(
                 }
                 let start = (since - (buf.first_seq - 1)) as usize;
                 if start < buf.events.len() {
-                    let batch: Vec<String> = buf.events.iter().skip(start).cloned().collect();
-                    break Step::Batch(batch, buf.done);
+                    break Step::Batch(buf.events.range(start..).cloned().collect(), buf.done);
                 }
                 if buf.done {
                     break Step::Batch(Vec::new(), true);
@@ -776,41 +796,22 @@ fn follow(
         };
         match step {
             Step::TooOld(first) => {
-                writeln!(
-                    writer,
-                    "{}",
-                    protocol::error_line(
-                        codes::RESUME_TOO_OLD,
-                        &format!(
-                            "events before seq {first} were discarded; resubmit the job"
-                        ),
-                    )
-                )?;
-                return Ok(());
+                let detail = format!("events before seq {first} were discarded; resubmit the job");
+                return send_line(writer, protocol::error_line(codes::RESUME_TOO_OLD, &detail));
             }
             Step::PastEnd(last) => {
-                writeln!(
-                    writer,
-                    "{}",
-                    protocol::error_line(
-                        codes::RESUME_PAST_END,
-                        &format!(
-                            "cursor {since} is past the job's last event (seq {last}); \
-                             resubmit the job"
-                        ),
-                    )
-                )?;
-                return Ok(());
+                let detail = format!(
+                    "cursor {since} is past the job's last event (seq {last}); resubmit the job"
+                );
+                return send_line(writer, protocol::error_line(codes::RESUME_PAST_END, &detail));
             }
             Step::Batch(batch, done) => {
-                for line in &batch {
-                    if writeln!(writer, "{line}").is_err() {
-                        // Client gone; the job keeps running and its
-                        // events stay resumable.
-                        return Ok(());
-                    }
-                    since += 1;
+                if send_lines(writer, &batch).is_err() {
+                    // Client gone; the job keeps running and its events
+                    // stay resumable.
+                    return Ok(());
                 }
+                since += batch.len() as u64;
                 if done {
                     return Ok(());
                 }
@@ -838,24 +839,15 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result
             return Ok(()); // clean EOF between requests
         }
         if line.len() > protocol::MAX_REQUEST_BYTES {
-            let _ = writeln!(
-                writer,
-                "{}",
-                protocol::error_line(
-                    codes::OVERSIZED_REQUEST,
-                    &format!("request exceeds {} bytes", protocol::MAX_REQUEST_BYTES),
-                )
-            );
+            let detail = format!("request exceeds {} bytes", protocol::MAX_REQUEST_BYTES);
+            let _ = send_line(&mut writer, protocol::error_line(codes::OVERSIZED_REQUEST, &detail));
             return Ok(()); // the rest of the stream is unframed garbage
         }
         if !line.ends_with('\n') {
             // EOF mid-line: the client died or sent an unterminated
             // request. Typed answer on a best-effort basis, then close.
-            let _ = writeln!(
-                writer,
-                "{}",
-                protocol::error_line(codes::TRUNCATED, "connection closed mid-request")
-            );
+            let detail = "connection closed mid-request";
+            let _ = send_line(&mut writer, protocol::error_line(codes::TRUNCATED, detail));
             return Ok(());
         }
         let trimmed = line.trim();
@@ -863,12 +855,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result
             continue;
         }
         match protocol::parse_request(trimmed) {
-            Err(e) => {
-                writeln!(writer, "{}", e.to_line())?;
-            }
-            Ok(Request::Status) => {
-                writeln!(writer, "{}", shared.status_json().render())?;
-            }
+            Err(e) => send_line(&mut writer, e.to_line())?,
+            Ok(Request::Status) => send_line(&mut writer, shared.status_json().render())?,
             Ok(Request::Shutdown) => {
                 // The one stop path: refuse new jobs, wake idle workers
                 // so they drain the queue and exit, acknowledge, then
@@ -876,11 +864,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result
                 // `JobServer::serve` returns and sees `accepting` cleared.
                 shared.accepting.store(false, Ordering::SeqCst);
                 shared.queue_ready.notify_all();
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    Json::obj(vec![("event", Json::Str("shutting-down".into()))]).render()
-                );
+                let ack = Json::obj(vec![("event", Json::Str("shutting-down".into()))]);
+                let _ = send_line(&mut writer, ack.render());
                 let _ = TcpStream::connect(shared.wake);
                 return Ok(());
             }
@@ -903,26 +888,16 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result
                 };
                 match state {
                     None => {
-                        writeln!(
-                            writer,
-                            "{}",
-                            protocol::error_line(
-                                codes::UNKNOWN_JOB,
-                                &format!("job {job} is not retained; resubmit"),
-                            )
-                        )?;
+                        let detail = format!("job {job} is not retained; resubmit");
+                        send_line(&mut writer, protocol::error_line(codes::UNKNOWN_JOB, &detail))?;
                     }
                     Some(state) => {
-                        writeln!(
-                            writer,
-                            "{}",
-                            Json::obj(vec![
-                                ("event", Json::Str("resumed".into())),
-                                ("job", Json::UInt(job)),
-                                ("since_seq", Json::UInt(since_seq)),
-                            ])
-                            .render()
-                        )?;
+                        let resumed = Json::obj(vec![
+                            ("event", Json::Str("resumed".into())),
+                            ("job", Json::UInt(job)),
+                            ("since_seq", Json::UInt(since_seq)),
+                        ]);
+                        send_line(&mut writer, resumed.render())?;
                         follow(shared, &mut writer, &state, since_seq)?;
                     }
                 }
@@ -941,24 +916,17 @@ fn submit_and_stream(
     points: usize,
 ) -> std::io::Result<()> {
     let (state, attached) = match submit_or_attach(shared, hash, kind) {
-        Submit::Refused(line) => {
-            writeln!(writer, "{line}")?;
-            return Ok(());
-        }
+        Submit::Refused(line) => return send_line(writer, line),
         Submit::Queued(state) => (state, false),
         Submit::Attached(state) => (state, true),
     };
-    writeln!(
-        writer,
-        "{}",
-        Json::obj(vec![
-            ("event", Json::Str("queued".into())),
-            ("job", Json::UInt(state.id)),
-            ("points", Json::UInt(points as u64)),
-            ("attached", Json::Bool(attached)),
-        ])
-        .render()
-    )?;
+    let queued = Json::obj(vec![
+        ("event", Json::Str("queued".into())),
+        ("job", Json::UInt(state.id)),
+        ("points", Json::UInt(points as u64)),
+        ("attached", Json::Bool(attached)),
+    ]);
+    send_line(writer, queued.render())?;
     follow(shared, writer, &state, 0)
 }
 

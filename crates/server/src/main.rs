@@ -14,7 +14,8 @@
 //! so Ctrl-C takes the same stop path as any client.
 //! `--smoke` runs the self-contained end-to-end check used by tier-1:
 //! an ephemeral server, two concurrent clients submitting the same
-//! 2-point grid, exactly-once simulation asserted, clean shutdown.
+//! 2-point grid, exactly-once simulation asserted, the grid resubmitted
+//! in reverse order and served from the memo, clean shutdown.
 
 use secsim_server::{JobServer, ServerConfig};
 use std::time::Duration;
@@ -179,7 +180,9 @@ mod sigint {
 /// The tier-1 smoke: ephemeral server, two concurrent clients, one
 /// identical 2-point grid each. Asserts (a) both clients get complete,
 /// byte-identical result sets, (b) the server simulated each unique
-/// point exactly once (dedup fan-in), (c) shutdown drains cleanly.
+/// point exactly once (dedup fan-in), (c) the grid resubmitted in
+/// reverse order (another job hash, so a new job) is answered from the
+/// memo with the same bytes, (d) shutdown drains cleanly.
 fn smoke_test() {
     use secsim_bench::{client, RunOpts, SweepPoint};
     use secsim_core::Policy;
@@ -237,17 +240,34 @@ fn smoke_test() {
         "smoke: concurrent clients must see byte-identical reports"
     );
 
-    let status = client::status(&addr).expect("smoke: status request");
-    let simulated = status
-        .get("sweep")
-        .and_then(|s| s.get("simulated"))
-        .and_then(Json::as_u64)
-        .expect("smoke: status carries sweep.simulated");
+    let sweep_count = |name: &str| {
+        let status = client::status(&addr).expect("smoke: status request");
+        status
+            .get("sweep")
+            .and_then(|s| s.get(name))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("smoke: status carries sweep.{name}"))
+    };
+    let simulated = sweep_count("simulated");
     assert_eq!(
         simulated, 2,
         "smoke: 4 requested points over 2 unique keys must simulate exactly twice \
          (dedup fan-in), got {simulated}"
     );
+
+    // The memo-hit path: the reversed grid hashes differently, so it is
+    // a new job rather than an attach, and both points are memo hits.
+    let memo_hits = sweep_count("memo_hits");
+    let reversed: Vec<SweepPoint> = points.iter().rev().cloned().collect();
+    let again: Vec<String> = client::run_sweep(&addr, &reversed)
+        .expect("smoke: resubmitted sweep job succeeds")
+        .into_iter()
+        .rev()
+        .map(|r| r.expect("smoke: every point reports").to_json().expect("untraced").render())
+        .collect();
+    assert_eq!(again, renders[0], "smoke: memo hits must resend byte-identical reports");
+    assert_eq!(sweep_count("simulated"), simulated, "smoke: a memo hit must not simulate");
+    assert_eq!(sweep_count("memo_hits"), memo_hits + 2, "smoke: both points are memo hits");
 
     client::shutdown(&addr).expect("smoke: shutdown request");
     let final_status = server_thread
@@ -260,5 +280,8 @@ fn smoke_test() {
         "smoke: queue must drain before exit"
     );
     let _ = std::fs::remove_dir_all(&tmp);
-    println!("serve smoke OK: 2 clients x 2 points, simulated=2, drained clean");
+    println!(
+        "serve smoke OK: 2 clients x 2 points, simulated=2, reversed grid from the memo \
+         (memo_hits +2), drained clean"
+    );
 }

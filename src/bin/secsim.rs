@@ -131,7 +131,13 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let cpu = match args.num("ruu", 128)? {
         128 => CpuConfig::paper_reference(),
         64 => CpuConfig::paper_ruu64(),
-        other => CpuConfig { ruu_size: other as u32, ..CpuConfig::paper_reference() },
+        other => {
+            let ruu_size = u32::try_from(other).map_err(|_| {
+                let typed = args.get("ruu").unwrap_or_default().trim();
+                format!("--ruu: expected an RUU size below 2^32, got `{typed}`")
+            })?;
+            CpuConfig { ruu_size, ..CpuConfig::paper_reference() }
+        }
     };
     let secure = if args.flag("tree") {
         SecureConfig::paper_with_tree(policy, w.data_base, w.data_bytes)
