@@ -7,7 +7,10 @@ use secsim_bench::{RunOpts, Sweep, SweepPoint, CACHE_VERSION};
 use secsim_core::Policy;
 use secsim_workloads::BenchId;
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn opts() -> RunOpts {
     RunOpts { max_insts: 3_000, ..RunOpts::default() }
@@ -167,5 +170,51 @@ fn cache_round_trip_is_byte_stable_across_processes_shape() {
         mtime,
         "cache hit must not rewrite the entry"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An entry holding `1e999` (an infinite float once parsed, which has
+/// no rendering) is a bad entry: the point is simulated afresh, and a
+/// second request on the same `Sweep` is answered too, so the first
+/// cannot have stranded the point's in-flight gate. The calls run on a
+/// helper thread, each behind a timeout, so a stranded gate fails the
+/// test instead of hanging it.
+#[test]
+fn non_finite_entry_is_resimulated_and_the_point_stays_answerable() {
+    let dir = temp_cache("non-finite");
+    let opts = RunOpts { max_insts: 2_000, ..RunOpts::default() };
+    let p = SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts);
+    let fresh = Sweep::new().without_cache().run_point(&p).expect("gzip simulates");
+    let fresh = fresh.to_json().expect("untraced report serializes").render();
+    let poisoned = format!(
+        "{{\"version\":{CACHE_VERSION},\"bench\":\"gzip\",\"key\":\"{:016x}\",\
+         \"report\":{{\"insts\":1e999}},\"sum\":\"0\"}}",
+        p.key()
+    );
+    fs::write(entry_path(&dir, &p), poisoned).unwrap();
+
+    let (tx, rx) = mpsc::channel();
+    let cache = dir.clone();
+    std::thread::spawn(move || {
+        let sweep = Sweep::new().with_jobs(1).with_cache_dir(cache);
+        for _ in 0..2 {
+            let answer = match catch_unwind(AssertUnwindSafe(|| sweep.run_point(&p))) {
+                Ok(Ok(r)) => r.to_json().expect("untraced report serializes").render(),
+                Ok(Err(e)) => format!("hole: {e}"),
+                Err(_) => "panicked".to_string(),
+            };
+            if tx.send(answer).is_err() {
+                return;
+            }
+        }
+    });
+    let answers: Vec<String> = (0..2)
+        .map(|_| match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(answer) if answer == fresh => "the fresh report".to_string(),
+            Ok(answer) => answer,
+            Err(_) => "no answer within 30 s".to_string(),
+        })
+        .collect();
+    assert_eq!(answers, ["the fresh report"; 2]);
     let _ = fs::remove_dir_all(&dir);
 }
