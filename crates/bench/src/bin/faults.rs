@@ -19,6 +19,10 @@
 //! ```text
 //! faults [--smoke] [--timeout-secs N]
 //! ```
+//!
+//! `--timeout-secs` (default 60) is each point's wall-clock budget; a
+//! missing, non-numeric or zero value, or any other flag, is refused
+//! with exit status 2 before a point runs.
 
 use secsim_bench::faultpoint::{integrity_kinds, run_point, schemes};
 use secsim_bench::SweepError;
@@ -27,14 +31,27 @@ use secsim_stats::Table;
 use std::time::Duration;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let timeout_secs = args
-        .iter()
-        .position(|a| a == "--timeout-secs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60u64);
+    let mut smoke = false;
+    let mut timeout_secs = 60;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--timeout-secs" => {
+                let n = args.next().and_then(|s| s.parse::<u64>().ok()).filter(|&n| n >= 1);
+                let Some(n) = n else {
+                    eprintln!("error: --timeout-secs needs a positive number of seconds");
+                    std::process::exit(2);
+                };
+                timeout_secs = n;
+            }
+            other => {
+                eprintln!("error: unknown flag {other}");
+                eprintln!("usage: faults [--smoke] [--timeout-secs N]");
+                std::process::exit(2);
+            }
+        }
+    }
     let timeout = Duration::from_secs(timeout_secs);
     let injects: &[u64] = if smoke { &[2_500] } else { &[600, 2_500, 7_000] };
 

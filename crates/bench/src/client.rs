@@ -14,8 +14,9 @@
 //! Every job call runs through one retry engine ([`RetryPolicy`]):
 //!
 //! * **Connect errors and `queue-full`** back off exponentially with
-//!   deterministic jitter (capped); a `queue-full` answer carrying a
-//!   `retry_after_ms` hint sleeps that long instead.
+//!   deterministic jitter (capped; the store's file retries sleep by the
+//!   same rule); a `queue-full` answer carrying a `retry_after_ms` hint
+//!   sleeps that long instead.
 //! * **Disconnects mid-stream** (EOF, resets, garbage lines, read
 //!   timeouts) reconnect and send `resume {job, since_seq}` — the
 //!   server replays only the missed events, identified by their
@@ -37,7 +38,6 @@ use crate::{SweepError, SweepPoint};
 use secsim_cpu::SimReport;
 use secsim_stats::Json;
 use secsim_workloads::SplitMix64;
-use std::cell::RefCell;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -116,6 +116,18 @@ impl Default for RetryPolicy {
             seed: 0x5ec5_c11e,
         }
     }
+}
+
+/// The sleep before retrying after the `n`-th consecutive failure
+/// (`n >= 1`), in the unit of `base` and `cap`: a capped exponential
+/// with equal jitter, drawn from `[d/2, d]` for
+/// `d = min(base · 2^(n−1), cap)` (the doubling stops after 16 steps).
+/// The client's reconnects and the store's file retries both back off
+/// by this rule.
+pub(crate) fn backoff(base: u64, cap: u64, n: u32, rng: &mut SplitMix64) -> u64 {
+    let exp = n.saturating_sub(1).min(16);
+    let d = base.saturating_mul(1u64 << exp).min(cap).max(1);
+    d / 2 + rng.next_u64() % (d / 2 + 1)
 }
 
 /// What the retry engine did on a job's behalf — surfaced so callers
@@ -213,14 +225,14 @@ enum Feed {
 /// submits, and streams events through `on_event` until it reports the
 /// job done. On any transport fault it reconnects and resumes from the
 /// last processed sequence number; when the job id is lost or rejected
-/// it resubmits (server-side dedup keeps execution exactly-once) after
-/// letting `on_restart` clear any accumulated partial state.
+/// it resubmits (server-side dedup keeps execution exactly-once) and
+/// the replayed events reach `on_event` again, so what it keeps must be
+/// keyed by the event (a sweep's grid index), not by arrival order.
 fn drive(
     addr: &str,
     submit_line: &str,
     policy: RetryPolicy,
     mut on_event: impl FnMut(&Json) -> Result<Feed, String>,
-    mut on_restart: impl FnMut(),
 ) -> Result<ClientStats, ClientError> {
     let mut stats = ClientStats::default();
     let mut rng = SplitMix64::new(policy.seed);
@@ -238,11 +250,9 @@ fn drive(
             return Err(last_err);
         }
         if failures > 0 && !std::mem::take(&mut skip_backoff) {
-            // Capped exponential backoff with jitter; a queue-full hint
-            // already slept instead (see below).
-            let exp = u32::min(failures - 1, 16);
-            let ms = policy.base_ms.saturating_mul(1u64 << exp).min(policy.cap_ms).max(1);
-            std::thread::sleep(Duration::from_millis(ms / 2 + rng.next_u64() % (ms / 2 + 1)));
+            // A queue-full hint already slept instead (see below).
+            let ms = backoff(policy.base_ms, policy.cap_ms, failures, &mut rng);
+            std::thread::sleep(Duration::from_millis(ms));
         }
         let mut session = match Session::connect(addr, policy.read_timeout) {
             Ok(s) => s,
@@ -265,9 +275,8 @@ fn drive(
                 if stats.connects > 1 || stats.resubmits > 0 {
                     stats.resubmits += 1;
                     // A fresh submission restarts the event stream from
-                    // seq 1 — drop partial state so replays stay clean.
+                    // seq 1.
                     last_seq = 0;
-                    on_restart();
                 }
                 session.send(submit_line)
             }
@@ -404,83 +413,35 @@ pub fn run_sweep_with(
     policy: RetryPolicy,
 ) -> Result<(Vec<Result<SimReport, SweepError>>, ClientStats), ClientError> {
     let submit = protocol::sweep_request_v2(points);
-    let results: RefCell<Vec<Option<Result<SimReport, SweepError>>>> =
-        RefCell::new(vec![None; points.len()]);
-    let stats = drive(
-        addr,
-        &submit,
-        policy,
-        |ev| match ev.get("event").and_then(Json::as_str) {
-            Some("running") => Ok(Feed::More),
-            Some("point-done") => {
-                let i = ev
-                    .get("index")
-                    .and_then(Json::as_u64)
-                    .map(|n| n as usize)
-                    .filter(|&n| n < points.len())
-                    .ok_or_else(|| "point-done with a bad index".to_string())?;
-                results.borrow_mut()[i] = Some(protocol::result_from_json(ev)?);
-                Ok(Feed::More)
+    let mut results: Vec<Option<Result<SimReport, SweepError>>> = vec![None; points.len()];
+    // Results are keyed by grid index and deterministic: a replay
+    // overwrites them with identical values, so restarts keep them.
+    let stats = drive(addr, &submit, policy, |ev| match ev.get("event").and_then(Json::as_str) {
+        Some("running") => Ok(Feed::More),
+        Some("point-done") => {
+            let i = ev
+                .get("index")
+                .and_then(Json::as_u64)
+                .map(|n| n as usize)
+                .filter(|&n| n < points.len())
+                .ok_or_else(|| "point-done with a bad index".to_string())?;
+            results[i] = Some(protocol::result_from_json(ev)?);
+            Ok(Feed::More)
+        }
+        Some("complete") => {
+            if results.iter().all(Option::is_some) {
+                Ok(Feed::Done)
+            } else {
+                Err("job completed with missing points".to_string())
             }
-            Some("complete") => {
-                if results.borrow().iter().all(Option::is_some) {
-                    Ok(Feed::Done)
-                } else {
-                    Err("job completed with missing points".to_string())
-                }
-            }
-            other => Err(format!("unexpected event {other:?}")),
-        },
-        // Results are keyed by grid index and deterministic: a replay
-        // overwrites them with identical values, so restarts keep them.
-        || {},
-    )?;
+        }
+        other => Err(format!("unexpected event {other:?}")),
+    })?;
     let collected = results
-        .into_inner()
         .into_iter()
         .map(|r| r.expect("complete event validated all points present"))
         .collect();
     Ok((collected, stats))
-}
-
-/// Submits a fault-campaign job (8 schemes × 5 integrity kinds injected
-/// at `inject`) and returns the raw `fault-done` event objects, using
-/// the default [`RetryPolicy`].
-pub fn run_faults(
-    addr: &str,
-    inject: u64,
-    timeout_secs: u64,
-) -> Result<Vec<Json>, ClientError> {
-    run_faults_with(addr, inject, timeout_secs, RetryPolicy::default()).map(|(rows, _)| rows)
-}
-
-/// [`run_faults`] with an explicit retry policy and engine stats.
-pub fn run_faults_with(
-    addr: &str,
-    inject: u64,
-    timeout_secs: u64,
-    policy: RetryPolicy,
-) -> Result<(Vec<Json>, ClientStats), ClientError> {
-    let submit = protocol::faults_request_v2(inject, timeout_secs);
-    let rows: RefCell<Vec<Json>> = RefCell::new(Vec::new());
-    let stats = drive(
-        addr,
-        &submit,
-        policy,
-        |ev| match ev.get("event").and_then(Json::as_str) {
-            Some("running") => Ok(Feed::More),
-            Some("fault-done") => {
-                rows.borrow_mut().push(ev.clone());
-                Ok(Feed::More)
-            }
-            Some("complete") => Ok(Feed::Done),
-            other => Err(format!("unexpected event {other:?}")),
-        },
-        // Rows accumulate in arrival order; a resubmission restarts the
-        // stream, so drop the partial batch.
-        || rows.borrow_mut().clear(),
-    )?;
-    Ok((rows.into_inner(), stats))
 }
 
 /// Read timeout for one-shot control requests (`status`, `shutdown`).
@@ -514,5 +475,26 @@ pub fn shutdown(addr: &str) -> Result<(), ClientError> {
             "expected shutting-down, got {}",
             ev.render()
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every sleep of the `n`-th retry lies in `[d/2, d]`, for
+    /// `d = min(base · 2^(n−1), cap)`.
+    #[test]
+    fn backoff_sleeps_lie_in_the_equal_jitter_band() {
+        let mut rng = SplitMix64::new(7);
+        for (base, cap) in [(50u64, 2_000), (400, 800), (1, 1), (3, u64::MAX)] {
+            for n in 1..=12u32 {
+                let d = base.saturating_mul(1 << (n - 1)).min(cap);
+                for _ in 0..200 {
+                    let sleep = backoff(base, cap, n, &mut rng);
+                    assert!((d / 2..=d).contains(&sleep), "base {base}, cap {cap}, n {n}: {sleep}");
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! The fault-campaign point runner, shared by the `faults` binary and
-//! the `secsim-serve` job server.
+//! The fault-campaign point runner of the `faults` binary, and the
+//! campaign's eight [`schemes`].
 //!
 //! One campaign point = one deterministic victim (a load → compute →
 //! store loop over an encrypted image) with a single scheduled fault,
@@ -9,6 +9,7 @@
 //! point that wedges its host thread is abandoned and surfaces as a
 //! [`SweepError::Failed`] hole in the grid, never a hung campaign.
 
+use crate::sweep::panic_detail;
 use crate::SweepError;
 use secsim_core::{EncryptedMemory, Exposure, FaultKind, FaultPlan, FetchGateVariant, Policy,
     TamperCause};
@@ -144,13 +145,7 @@ pub fn run_point(
                 },
             }
         });
-        let _ = tx.send(run.map_err(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "panic with non-string payload".to_string())
-        }));
+        let _ = tx.send(run.map_err(|payload| panic_detail(&*payload)));
     });
     match rx.recv_timeout(timeout) {
         Ok(Ok(outcome)) => Ok(outcome),

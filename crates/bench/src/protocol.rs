@@ -11,7 +11,6 @@
 //!
 //! ```json
 //! {"v":2,"kind":"sweep","points":[{"bench":"mcf","seed":2006,"warmup":0,"cfg":{…}}]}
-//! {"v":2,"kind":"faults","inject":2500}
 //! {"v":2,"kind":"status"}
 //! {"v":2,"kind":"shutdown"}
 //! {"v":2,"kind":"resume","job":3,"since_seq":17}
@@ -24,7 +23,7 @@
 //! replay every event after the last one it saw, instead of
 //! resubmitting the job.
 //! Submissions themselves are deduplicated server-side by a content
-//! hash of the request ([`sweep_job_hash`] / [`faults_job_hash`]), so
+//! hash of the request ([`sweep_job_hash`]), so
 //! even a client that *does* resubmit after a crash attaches to the
 //! already-running (or retained completed) job — exactly-once
 //! execution across arbitrary disconnects.
@@ -59,7 +58,6 @@
 //! from the queue depth.
 
 use crate::{SweepError, SweepPoint};
-use secsim_core::FaultKind;
 use secsim_cpu::{SimConfig, SimReport};
 use secsim_stats::{Json, StableHash, StableHasher};
 use secsim_workloads::{register_program, BenchId, ProgramImage};
@@ -82,7 +80,7 @@ pub mod codes {
     /// The request's `"v"` is missing or not [`super::PROTOCOL_VERSION`].
     pub const UNSUPPORTED_VERSION: &str = "unsupported-version";
     /// The request's `"kind"` is not one of
-    /// `sweep`/`faults`/`status`/`shutdown`/`resume`.
+    /// `sweep`/`status`/`shutdown`/`resume`.
     pub const UNKNOWN_KIND: &str = "unknown-kind";
     /// The request parsed but its payload is invalid (bad point, bad
     /// program image, …).
@@ -144,14 +142,6 @@ pub enum Request {
         /// already registered).
         points: Vec<SweepPoint>,
     },
-    /// Run the fault campaign (8 schemes × 5 integrity kinds) with the
-    /// fault injected at this cycle; stream per-point outcomes.
-    Faults {
-        /// Injection cycle.
-        inject: u64,
-        /// Wall-clock budget per point, seconds (default 60).
-        timeout_secs: u64,
-    },
     /// Report queue/store/sweep counters.
     Status,
     /// Drain the queue, refuse new jobs, flush counters, exit.
@@ -211,14 +201,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Request::Sweep { points })
         }
-        "faults" => {
-            let inject = v
-                .get("inject")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ProtoError::bad("faults request carries no \"inject\" cycle"))?;
-            let timeout_secs = v.get("timeout_secs").and_then(Json::as_u64).unwrap_or(60);
-            Ok(Request::Faults { inject, timeout_secs })
-        }
         "status" => Ok(Request::Status),
         "shutdown" => Ok(Request::Shutdown),
         "resume" => {
@@ -242,17 +224,6 @@ pub fn sweep_request_v2(points: &[SweepPoint]) -> String {
         ("v", Json::UInt(PROTOCOL_VERSION)),
         ("kind", Json::Str("sweep".into())),
         ("points", Json::Array(points.iter().map(point_to_json).collect())),
-    ])
-    .render()
-}
-
-/// Renders a fault-campaign request line.
-pub fn faults_request_v2(inject: u64, timeout_secs: u64) -> String {
-    Json::obj(vec![
-        ("v", Json::UInt(PROTOCOL_VERSION)),
-        ("kind", Json::Str("faults".into())),
-        ("inject", Json::UInt(inject)),
-        ("timeout_secs", Json::UInt(timeout_secs)),
     ])
     .render()
 }
@@ -322,17 +293,6 @@ pub fn sweep_job_hash(points: &[SweepPoint]) -> u64 {
     for p in points {
         p.key().stable_hash(&mut h);
     }
-    h.finish()
-}
-
-/// Content hash of a fault-campaign submission (the campaign grid is
-/// implied by the server, so the injection cycle and timeout are the
-/// whole identity).
-pub fn faults_job_hash(inject: u64, timeout_secs: u64) -> u64 {
-    let mut h = StableHasher::new();
-    "faults".stable_hash(&mut h);
-    inject.stable_hash(&mut h);
-    timeout_secs.stable_hash(&mut h);
     h.finish()
 }
 
@@ -474,37 +434,6 @@ pub fn point_from_json(v: &Json) -> Result<SweepPoint, String> {
         cfg: SimConfig::from_json(v.get("cfg").ok_or("point carries no \"cfg\"")?)
             .map_err(|e| e.to_string())?,
     })
-}
-
-/// A `FaultKind` as JSON.
-pub fn fault_kind_to_json(k: &FaultKind) -> Json {
-    let mut pairs = vec![("kind", Json::Str(k.name().into()))];
-    match k {
-        FaultKind::CiphertextFlip { mask } => pairs.push(("mask", Json::UInt((*mask).into()))),
-        FaultKind::TagCorrupt { mask } => pairs.push(("mask", Json::UInt(*mask))),
-        FaultKind::BusCorrupt { mask } => pairs.push(("mask", Json::UInt((*mask).into()))),
-        FaultKind::DramFlip { bit } => pairs.push(("bit", Json::UInt((*bit).into()))),
-        FaultKind::MacDelay { extra } => pairs.push(("extra", Json::UInt(*extra))),
-        FaultKind::CounterReplay | FaultKind::MacDrop => {}
-    }
-    Json::obj(pairs)
-}
-
-/// Parses what [`fault_kind_to_json`] rendered.
-pub fn fault_kind_from_json(v: &Json) -> Result<FaultKind, String> {
-    let u8f = |k: &str| -> Result<u8, String> {
-        u64_field(v, k)?.try_into().map_err(|_| format!("field {k:?} exceeds u8"))
-    };
-    match str_field(v, "kind")? {
-        "ct-flip" => Ok(FaultKind::CiphertextFlip { mask: u8f("mask")? }),
-        "tag-corrupt" => Ok(FaultKind::TagCorrupt { mask: u64_field(v, "mask")? }),
-        "counter-replay" => Ok(FaultKind::CounterReplay),
-        "dram-flip" => Ok(FaultKind::DramFlip { bit: u8f("bit")? }),
-        "bus-corrupt" => Ok(FaultKind::BusCorrupt { mask: u8f("mask")? }),
-        "mac-delay" => Ok(FaultKind::MacDelay { extra: u64_field(v, "extra")? }),
-        "mac-drop" => Ok(FaultKind::MacDrop),
-        other => Err(format!("unknown fault kind {other:?}")),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -874,23 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_kind_round_trips() {
-        for k in [
-            FaultKind::CiphertextFlip { mask: 0x40 },
-            FaultKind::TagCorrupt { mask: 0xDEAD },
-            FaultKind::CounterReplay,
-            FaultKind::DramFlip { bit: 3 },
-            FaultKind::BusCorrupt { mask: 0x08 },
-            FaultKind::MacDelay { extra: 5_000 },
-            FaultKind::MacDrop,
-        ] {
-            let wire = fault_kind_to_json(&k).render();
-            let back = fault_kind_from_json(&Json::parse(&wire).unwrap()).unwrap();
-            assert_eq!(back, k);
-        }
-    }
-
-    #[test]
     fn request_parse_failures_are_typed() {
         let cases = [
             ("{not json", codes::MALFORMED_JSON),
@@ -902,7 +814,8 @@ mod tests {
             ("{\"v\":2,\"kind\":\"sweep\"}", codes::BAD_REQUEST),
             ("{\"v\":2,\"kind\":\"sweep\",\"points\":[]}", codes::BAD_REQUEST),
             ("{\"v\":2,\"kind\":\"sweep\",\"points\":[{\"bench\":\"nope\"}]}", codes::BAD_REQUEST),
-            ("{\"v\":2,\"kind\":\"faults\"}", codes::BAD_REQUEST),
+            // The fault campaign is the `faults` binary's alone.
+            ("{\"v\":2,\"kind\":\"faults\",\"inject\":1}", codes::UNKNOWN_KIND),
             ("{\"v\":2,\"kind\":\"resume\"}", codes::BAD_REQUEST),
         ];
         for (line, want) in cases {
@@ -928,10 +841,6 @@ mod tests {
             }
             other => panic!("wrong request: {other:?}"),
         }
-        assert!(matches!(
-            parse_request(&faults_request_v2(2_500, 60)).unwrap(),
-            Request::Faults { inject: 2_500, timeout_secs: 60 }
-        ));
         assert!(matches!(parse_request(&status_request()).unwrap(), Request::Status));
         assert!(matches!(parse_request(&shutdown_request()).unwrap(), Request::Shutdown));
         assert!(matches!(
@@ -963,9 +872,6 @@ mod tests {
             "grid order is part of the identity (results stream by index)"
         );
         assert_ne!(sweep_job_hash(&grid1), sweep_job_hash(&grid1[..1]));
-        assert_eq!(faults_job_hash(2_500, 60), faults_job_hash(2_500, 60));
-        assert_ne!(faults_job_hash(2_500, 60), faults_job_hash(2_501, 60));
-        assert_ne!(faults_job_hash(2_500, 60), sweep_job_hash(&grid1));
     }
 
     #[test]

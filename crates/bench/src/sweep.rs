@@ -67,8 +67,10 @@ use secsim_core::Policy;
 use secsim_cpu::{SimConfig, SimReport, SimSession, TraceConfig};
 use secsim_stats::{StableHash, StableHasher};
 use secsim_workloads::{BenchId, ParseBenchError, ProgramSource};
+use std::any::Any;
 use std::collections::HashMap;
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -79,9 +81,9 @@ pub enum SweepError {
     /// A stringly-typed entry point named a benchmark that does not
     /// exist (see [`BenchId`]).
     UnknownBench(String),
-    /// The simulation itself panicked or was cut off by a watchdog; the
-    /// grid keeps running and the caller decides how to report the
-    /// hole.
+    /// Resolving the point panicked (a store load, the simulation, the
+    /// store write) or a watchdog cut it off; the grid keeps running and
+    /// the caller decides how to report the hole.
     Failed {
         /// Benchmark of the failing point.
         bench: String,
@@ -107,6 +109,15 @@ impl From<ParseBenchError> for SweepError {
     fn from(e: ParseBenchError) -> Self {
         SweepError::UnknownBench(e.name().to_string())
     }
+}
+
+/// The message of a caught panic: its payload, when that is a string.
+pub(crate) fn panic_detail(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panic with non-string payload".to_string())
 }
 
 /// Salt for every cache key. Bump when the simulator's *behaviour*
@@ -169,21 +180,6 @@ impl SweepPoint {
         self.cfg.stable_hash(&mut h);
         self.warmup_insts.stable_hash(&mut h);
         h.finish()
-    }
-
-    fn run(&self) -> Result<SimReport, SweepError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::run_point(self.bench, self.seed, self.warmup_insts, SimSession::new(&self.cfg))
-                .into_report()
-        }))
-        .map_err(|payload| {
-            let detail = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            SweepError::Failed { bench: self.bench.name().to_string(), detail }
-        })
     }
 }
 
@@ -560,7 +556,11 @@ impl Sweep {
     }
 
     /// The dedup stack behind [`run_point`](Sweep::run_point), answering
-    /// with the point's memo entry.
+    /// with the point's memo entry. The owner of a key resolves it under
+    /// `catch_unwind`, so a panic anywhere in the store load, claim,
+    /// simulation or store write is published to the key's gate as a
+    /// typed [`SweepError::Failed`], like any other outcome: a waiter
+    /// never blocks on a gate nobody will open.
     fn resolve(&self, p: &SweepPoint) -> Result<Arc<Memo>, SweepError> {
         let key = p.key();
         if let Some(m) = self.memo.lock().expect("memo poisoned").get(&key) {
@@ -581,7 +581,12 @@ impl Sweep {
                 Entry::Vacant(v) => Arc::clone(v.insert(Arc::new(Gate::default()))),
             }
         };
-        let out = self.resolve_uncontended(p, key).map(|r| Arc::new(Memo::new(r)));
+        let out = catch_unwind(AssertUnwindSafe(|| self.resolve_uncontended(p, key)))
+            .map(|r| Arc::new(Memo::new(r)))
+            .map_err(|payload| SweepError::Failed {
+                bench: p.bench.name().to_string(),
+                detail: panic_detail(&*payload),
+            });
         if let Ok(m) = &out {
             self.memo.lock().expect("memo poisoned").insert(key, Arc::clone(m));
         }
@@ -595,11 +600,11 @@ impl Sweep {
 
     /// The store-level half of [`run_point`](Sweep::run_point), entered
     /// by exactly one in-process worker per key.
-    fn resolve_uncontended(&self, p: &SweepPoint, key: u64) -> Result<SimReport, SweepError> {
+    fn resolve_uncontended(&self, p: &SweepPoint, key: u64) -> SimReport {
         let Some(store) = &self.store else { return self.simulate(p) };
         let bench = p.bench.name();
         if let Some(r) = store.load(bench, key) {
-            return Ok(r);
+            return r;
         }
         match store.claim(key) {
             Claim::Won(ticket) => {
@@ -609,37 +614,30 @@ impl Sweep {
                 // write before releasing, so a recheck hit is final.
                 if let Some(r) = store.load(bench, key) {
                     drop(ticket);
-                    return Ok(r);
+                    return r;
                 }
-                let out = self.simulate(p);
-                if let Ok(r) = &out {
-                    store.put(bench, key, r);
-                }
+                let r = self.simulate(p);
+                store.put(bench, key, &r);
                 drop(ticket);
-                out
+                r
             }
             Claim::Lost => {
                 // A concurrent process owns the point; wait for its
                 // entry. If the owner vanished without publishing,
                 // simulate after all — duplicated work beats a wrong or
                 // missing result.
-                match store.await_entry(bench, key) {
-                    Some(r) => Ok(r),
-                    None => {
-                        let out = self.simulate(p);
-                        if let Ok(r) = &out {
-                            store.put(bench, key, r);
-                        }
-                        out
-                    }
-                }
+                store.await_entry(bench, key).unwrap_or_else(|| {
+                    let r = self.simulate(p);
+                    store.put(bench, key, &r);
+                    r
+                })
             }
         }
     }
 
-    fn simulate(&self, p: &SweepPoint) -> Result<SimReport, SweepError> {
+    fn simulate(&self, p: &SweepPoint) -> SimReport {
         self.simulated.fetch_add(1, Ordering::Relaxed);
-        p.run()
+        crate::run_point(p.bench, p.seed, p.warmup_insts, SimSession::new(&p.cfg)).into_report()
     }
 
     /// Runs a single point (store- and memo-aware).

@@ -3,8 +3,8 @@
 //!
 //! The figure binaries all reduce to "run a grid of points, read the
 //! reports". [`JobServer`] lifts that loop out of the CLI process into
-//! a long-running service: clients submit sweep or fault-campaign jobs
-//! over the line-delimited JSON protocol of [`secsim_bench::protocol`],
+//! a long-running service: clients submit sweep jobs over the
+//! line-delimited JSON protocol of [`secsim_bench::protocol`],
 //! a bounded queue feeds a worker pool that executes every point
 //! through one shared [`Sweep`] — so N clients asking for the same
 //! point share **one** simulation (in-process gates plus the store's
@@ -24,9 +24,12 @@
 //!   what it missed. A client that lost its *job id* resubmits; the
 //!   content hash dedups the submission onto the original job —
 //!   exactly-once execution either way.
-//! * **Panic isolation.** Each point runs under `catch_unwind`; a
-//!   panicking point degrades to a typed [`SweepError::Failed`] hole in
-//!   the job's results and the worker survives to run the next job.
+//! * **Panic isolation.** The shared [`Sweep`] resolves each point
+//!   under `catch_unwind`: a panic anywhere in its resolution (store
+//!   load, simulation, store write) degrades to a typed
+//!   [`SweepError::Failed`] hole in the job's results, published to
+//!   everyone waiting on that point, and the worker survives to run the
+//!   next job.
 //! * **Load shedding.** A full queue answers `queue-full` with a
 //!   `retry_after_ms` hint derived from the queue depth
 //!   ([`retry_after_hint`]) so backoff across clients spreads out.
@@ -49,7 +52,7 @@
 //! holes, never a wedged server.
 
 use secsim_bench::protocol::{self, codes, Request};
-use secsim_bench::{faultpoint, results_dir, ResultStore, Sweep, SweepError, SweepPoint};
+use secsim_bench::{results_dir, ResultStore, Sweep, SweepError, SweepPoint};
 use secsim_stats::{Json, Timeline};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
@@ -163,21 +166,7 @@ struct Registry {
 /// A job waiting for a worker.
 struct QueuedJob {
     state: Arc<JobState>,
-    kind: JobKind,
-}
-
-enum JobKind {
-    Sweep(Arc<Vec<SweepPoint>>),
-    Faults { inject: u64, timeout_secs: u64 },
-}
-
-impl JobKind {
-    fn label(&self) -> &'static str {
-        match self {
-            JobKind::Sweep(_) => "sweep",
-            JobKind::Faults { .. } => "faults",
-        }
-    }
+    points: Arc<Vec<SweepPoint>>,
 }
 
 /// State shared by the accept loop, connection threads and workers.
@@ -441,8 +430,8 @@ impl JobServer {
 
 /// Pops and runs jobs until shutdown is requested and the queue is dry.
 /// The whole job body runs under `catch_unwind`: a panic that somehow
-/// escapes the per-point isolation still finishes the job's event
-/// stream and leaves the worker alive for the next job.
+/// escapes the sweep's per-point isolation still finishes the job's
+/// event stream and leaves the worker alive for the next job.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
@@ -461,13 +450,12 @@ fn worker_loop(shared: &Arc<Shared>) {
                 q = guard;
             }
         };
-        let Some(QueuedJob { state, kind }) = job else { return };
+        let Some(QueuedJob { state, points }) = job else { return };
         shared.active_jobs.fetch_add(1, Ordering::Relaxed);
         let begin = shared.now_ms();
-        let label = kind.label();
         let id = state.id;
         let mut complete = vec![("event", Json::Str("complete".into())), ("job", Json::UInt(id))];
-        match catch_unwind(AssertUnwindSafe(|| run_job(shared, &state, &kind))) {
+        match catch_unwind(AssertUnwindSafe(|| run_sweep_job(shared, &state, points))) {
             Ok((ok, failed)) => {
                 complete.push(("ok", Json::UInt(ok)));
                 complete.push(("failed", Json::UInt(failed)));
@@ -485,7 +473,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             .timeline
             .lock()
             .expect("timeline poisoned")
-            .push_span("jobs", &format!("{label}#{id}"), begin, end.max(begin + 1));
+            .push_span("jobs", &format!("sweep#{id}"), begin, end.max(begin + 1));
         // Count the job before publishing its `complete`: a client that
         // saw `complete` and then asks `status` must find it done.
         shared.active_jobs.fetch_sub(1, Ordering::Relaxed);
@@ -495,56 +483,23 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Runs one job's body and returns its `(ok, failed)` counts; the
-/// caller publishes the final `complete` event.
-fn run_job(shared: &Arc<Shared>, state: &Arc<JobState>, kind: &JobKind) -> (u64, u64) {
-    shared.push_event(
-        state,
-        vec![
-            ("event", Json::Str("running".into())),
-            ("job", Json::UInt(state.id)),
-        ],
-    );
-    match kind {
-        JobKind::Sweep(points) => run_sweep_job(shared, state, Arc::clone(points)),
-        JobKind::Faults { inject, timeout_secs } => {
-            run_faults_job(shared, state, *inject, *timeout_secs)
-        }
-    }
-}
-
-/// Runs one point with panic isolation, answering with its report's
-/// rendered JSON, which the sweep's memo keeps: a panicking point
-/// becomes a typed [`SweepError::Failed`] hole instead of killing the
-/// runner thread (and with it the worker's job).
-fn run_point_isolated(shared: &Arc<Shared>, point: &SweepPoint) -> Result<Arc<str>, SweepError> {
-    match catch_unwind(AssertUnwindSafe(|| shared.sweep.run_point_rendered(point))) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_string());
-            Err(SweepError::Failed {
-                bench: point.bench.name().to_string(),
-                detail: format!("panic in point runner: {msg}"),
-            })
-        }
-    }
-}
-
-/// Executes one sweep grid through the shared [`Sweep`], fanning points
-/// across `shared.threads` detached runner threads, with the job-level
-/// wall-clock watchdog collecting results: a point that misses the
-/// deadline is abandoned (its runner thread still finishes and warms
-/// the store for whoever asks next) and reported as
-/// [`SweepError::Failed`].
+/// Executes one sweep grid through the shared [`Sweep`] and returns its
+/// `(ok, failed)` counts; the caller publishes the final `complete`
+/// event. Points fan across `shared.threads` detached runner threads,
+/// each answered with its report's rendered JSON, which the sweep's
+/// memo keeps, and the job-level wall-clock watchdog collects results:
+/// a point that misses the deadline is abandoned (its runner thread
+/// still finishes and warms the store for whoever asks next) and
+/// reported as [`SweepError::Failed`].
 fn run_sweep_job(
     shared: &Arc<Shared>,
     state: &Arc<JobState>,
     points: Arc<Vec<SweepPoint>>,
 ) -> (u64, u64) {
+    shared.push_event(
+        state,
+        vec![("event", Json::Str("running".into())), ("job", Json::UInt(state.id))],
+    );
     let n = points.len();
     let (ptx, prx) = mpsc::channel::<(usize, Result<Arc<str>, SweepError>)>();
     let next = Arc::new(AtomicUsize::new(0));
@@ -558,7 +513,7 @@ fn run_sweep_job(
             if i >= points.len() {
                 break;
             }
-            let r = run_point_isolated(&shared, &points[i]);
+            let r = shared.sweep.run_point_rendered(&points[i]);
             if ptx.send((i, r)).is_err() {
                 break; // job watchdog gave up on us
             }
@@ -606,46 +561,6 @@ fn run_sweep_job(
     (ok, failed)
 }
 
-/// Executes the fault campaign (8 schemes × 5 integrity kinds) at one
-/// injection cycle; every point already carries its own watchdog.
-fn run_faults_job(
-    shared: &Arc<Shared>,
-    state: &Arc<JobState>,
-    inject: u64,
-    timeout_secs: u64,
-) -> (u64, u64) {
-    let timeout = Duration::from_secs(timeout_secs.clamp(1, shared.job_timeout.as_secs().max(1)));
-    let (mut ok, mut failed) = (0u64, 0u64);
-    for kind in faultpoint::integrity_kinds() {
-        for (name, policy) in faultpoint::schemes() {
-            let mut pairs = vec![
-                ("event", Json::Str("fault-done".into())),
-                ("job", Json::UInt(state.id)),
-                ("policy", Json::Str(name.into())),
-                ("fault", protocol::fault_kind_to_json(&kind)),
-            ];
-            match faultpoint::run_point(policy, kind, inject, timeout) {
-                Ok(o) => {
-                    ok += 1;
-                    pairs.push(("verdict", Json::Str(o.verdict.into())));
-                    pairs.push(("detect", o.detect_cycle.map_or(Json::Null, Json::UInt)));
-                    pairs.push((
-                        "exposed",
-                        o.exposure.map_or(Json::Null, |x| Json::UInt(x.total())),
-                    ));
-                    pairs.push(("cycles", Json::UInt(o.cycles)));
-                }
-                Err(e) => {
-                    failed += 1;
-                    pairs.push(("error", protocol::sweep_error_to_json(&e)));
-                }
-            }
-            shared.push_event(state, pairs);
-        }
-    }
-    (ok, failed)
-}
-
 /// What a submission turned into.
 enum Submit {
     /// A fresh job was queued.
@@ -662,7 +577,7 @@ enum Submit {
 /// retained job, otherwise queues a fresh one (respecting the drain
 /// flag and the bounded queue). The registry lock spans the whole
 /// decision so two identical concurrent submissions cannot both queue.
-fn submit_or_attach(shared: &Arc<Shared>, hash: u64, kind: JobKind) -> Submit {
+fn submit_or_attach(shared: &Arc<Shared>, hash: u64, points: Arc<Vec<SweepPoint>>) -> Submit {
     if !shared.accepting.load(Ordering::Relaxed) {
         return Submit::Refused(protocol::error_line(
             codes::SHUTTING_DOWN,
@@ -693,7 +608,7 @@ fn submit_or_attach(shared: &Arc<Shared>, hash: u64, kind: JobKind) -> Submit {
     });
     reg.jobs.insert(id, Arc::clone(&state));
     reg.by_hash.insert(hash, id);
-    q.push_back(QueuedJob { state: Arc::clone(&state), kind });
+    q.push_back(QueuedJob { state: Arc::clone(&state), points });
     let depth = q.len() as f64;
     drop(q);
     drop(reg);
@@ -869,18 +784,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result
                 let _ = TcpStream::connect(shared.wake);
                 return Ok(());
             }
-            Ok(Request::Sweep { points }) => {
-                let n = points.len();
-                let hash = protocol::sweep_job_hash(&points);
-                let kind = JobKind::Sweep(Arc::new(points));
-                submit_and_stream(shared, &mut writer, hash, kind, n)?;
-            }
-            Ok(Request::Faults { inject, timeout_secs }) => {
-                let n = faultpoint::integrity_kinds().len() * faultpoint::schemes().len();
-                let hash = protocol::faults_job_hash(inject, timeout_secs);
-                let kind = JobKind::Faults { inject, timeout_secs };
-                submit_and_stream(shared, &mut writer, hash, kind, n)?;
-            }
+            Ok(Request::Sweep { points }) => submit_and_stream(shared, &mut writer, points)?,
             Ok(Request::Resume { job, since_seq }) => {
                 let state = {
                     let reg = shared.registry.lock().expect("registry poisoned");
@@ -906,16 +810,16 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result
     }
 }
 
-/// Admits one submission and streams the job's events to the client
-/// from the beginning.
+/// Admits one sweep submission and streams the job's events to the
+/// client from the beginning.
 fn submit_and_stream(
     shared: &Arc<Shared>,
     writer: &mut TcpStream,
-    hash: u64,
-    kind: JobKind,
-    points: usize,
+    points: Vec<SweepPoint>,
 ) -> std::io::Result<()> {
-    let (state, attached) = match submit_or_attach(shared, hash, kind) {
+    let n = points.len();
+    let hash = protocol::sweep_job_hash(&points);
+    let (state, attached) = match submit_or_attach(shared, hash, Arc::new(points)) {
         Submit::Refused(line) => return send_line(writer, line),
         Submit::Queued(state) => (state, false),
         Submit::Attached(state) => (state, true),
@@ -923,7 +827,7 @@ fn submit_and_stream(
     let queued = Json::obj(vec![
         ("event", Json::Str("queued".into())),
         ("job", Json::UInt(state.id)),
-        ("points", Json::UInt(points as u64)),
+        ("points", Json::UInt(n as u64)),
         ("attached", Json::Bool(attached)),
     ]);
     send_line(writer, queued.render())?;

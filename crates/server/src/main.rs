@@ -13,9 +13,10 @@
 //! watcher thread, which sends `shutdown` to the server's own address,
 //! so Ctrl-C takes the same stop path as any client.
 //! `--smoke` runs the self-contained end-to-end check used by tier-1:
-//! an ephemeral server, two concurrent clients submitting the same
-//! 2-point grid, exactly-once simulation asserted, the grid resubmitted
-//! in reverse order and served from the memo, clean shutdown.
+//! an ephemeral server over a store holding one poisoned entry, two
+//! concurrent clients submitting the same 2-point grid, exactly-once
+//! simulation asserted, the grid resubmitted in reverse order and
+//! served from the memo, clean shutdown.
 
 use secsim_server::{JobServer, ServerConfig};
 use std::time::Duration;
@@ -178,11 +179,15 @@ mod sigint {
 }
 
 /// The tier-1 smoke: ephemeral server, two concurrent clients, one
-/// identical 2-point grid each. Asserts (a) both clients get complete,
-/// byte-identical result sets, (b) the server simulated each unique
-/// point exactly once (dedup fan-in), (c) the grid resubmitted in
-/// reverse order (another job hash, so a new job) is answered from the
-/// memo with the same bytes, (d) shutdown drains cleanly.
+/// identical 2-point grid each, and a store entry for the first point
+/// whose report holds `1e999` (a number `f64` cannot hold) planted
+/// before the server starts. Asserts (a) both clients get complete,
+/// byte-identical result sets, the poisoned point simulated afresh
+/// rather than a hole, (b) the server simulated each unique point
+/// exactly once (dedup fan-in) and counted the bad entry, (c) the grid
+/// resubmitted in reverse order (another job hash, so a new job) is
+/// answered from the memo with the same bytes, (d) shutdown drains
+/// cleanly.
 fn smoke_test() {
     use secsim_bench::{client, RunOpts, SweepPoint};
     use secsim_core::Policy;
@@ -191,6 +196,25 @@ fn smoke_test() {
 
     let tmp = std::env::temp_dir().join(format!("secsim-serve-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
+    let opts = RunOpts { max_insts: 20_000, ..RunOpts::default() };
+    let points = vec![
+        SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts),
+        SweepPoint::of(BenchId::Mcf, Policy::authen_then_commit(), &opts),
+    ];
+    // The store's documented entry layout, `<bench>-<key:016x>.json`.
+    let poisoned = &points[0];
+    std::fs::create_dir_all(tmp.join("store")).expect("smoke: store dir");
+    std::fs::write(
+        tmp.join("store").join(format!("{}-{:016x}.json", poisoned.bench, poisoned.key())),
+        format!(
+            "{{\"version\":{},\"bench\":\"{}\",\"key\":\"{:016x}\",\
+             \"report\":{{\"insts\":1e999}},\"sum\":\"0\"}}",
+            secsim_bench::CACHE_VERSION,
+            poisoned.bench,
+            poisoned.key()
+        ),
+    )
+    .expect("smoke: plant the poisoned entry");
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
@@ -203,12 +227,6 @@ fn smoke_test() {
     let server = JobServer::bind(&cfg).expect("smoke: bind ephemeral port");
     let addr = server.local_addr().expect("smoke: local addr").to_string();
     let server_thread = std::thread::spawn(move || server.serve());
-
-    let opts = RunOpts { max_insts: 20_000, ..RunOpts::default() };
-    let points = vec![
-        SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts),
-        SweepPoint::of(BenchId::Mcf, Policy::authen_then_commit(), &opts),
-    ];
 
     let clients: Vec<_> = (0..2)
         .map(|_| {
@@ -240,20 +258,23 @@ fn smoke_test() {
         "smoke: concurrent clients must see byte-identical reports"
     );
 
-    let sweep_count = |name: &str| {
+    let count = |group: &str, name: &str| {
         let status = client::status(&addr).expect("smoke: status request");
         status
-            .get("sweep")
+            .get(group)
             .and_then(|s| s.get(name))
             .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("smoke: status carries sweep.{name}"))
+            .unwrap_or_else(|| panic!("smoke: status carries {group}.{name}"))
     };
+    let sweep_count = |name: &str| count("sweep", name);
     let simulated = sweep_count("simulated");
     assert_eq!(
         simulated, 2,
         "smoke: 4 requested points over 2 unique keys must simulate exactly twice \
          (dedup fan-in), got {simulated}"
     );
+    let bad_entries = count("store", "bad_entries");
+    assert!(bad_entries > 0, "smoke: the poisoned entry must count as a bad entry");
 
     // The memo-hit path: the reversed grid hashes differently, so it is
     // a new job rather than an attach, and both points are memo hits.
@@ -281,7 +302,7 @@ fn smoke_test() {
     );
     let _ = std::fs::remove_dir_all(&tmp);
     println!(
-        "serve smoke OK: 2 clients x 2 points, simulated=2, reversed grid from the memo \
-         (memo_hits +2), drained clean"
+        "serve smoke OK: 2 clients x 2 points, simulated=2 (poisoned entry: \
+         bad_entries={bad_entries}), reversed grid from the memo (memo_hits +2), drained clean"
     );
 }

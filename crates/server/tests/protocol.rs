@@ -72,7 +72,8 @@ fn malformed_requests_answer_typed_errors_and_the_session_survives() {
         ("{\"v\":2,\"kind\":\"sweep\"}", codes::BAD_REQUEST),
         ("{\"v\":2,\"kind\":\"sweep\",\"points\":[]}", codes::BAD_REQUEST),
         ("{\"v\":2,\"kind\":\"sweep\",\"points\":[{\"bench\":\"nope\"}]}", codes::BAD_REQUEST),
-        ("{\"v\":2,\"kind\":\"faults\"}", codes::BAD_REQUEST),
+        // The fault campaign is the `faults` binary's alone.
+        ("{\"v\":2,\"kind\":\"faults\",\"inject\":1}", codes::UNKNOWN_KIND),
     ] {
         let ev = ask(line);
         assert_eq!(ev.get("event").and_then(Json::as_str), Some("error"), "for {line}");
