@@ -11,6 +11,11 @@
 //! (or I/O) events that became visible **before** the authentication
 //! exception could have stopped the machine.
 //!
+//! Each [`run_exploit`] call builds and seals its victim once. Every
+//! trial (up to 32 for the binary search, 16 for the page brute force
+//! and 4 for the shift window) tampers and runs a fresh copy of that
+//! one sealed image, so a trial costs a simulation, not a seal.
+//!
 //! Implemented exploits:
 //!
 //! * [`Exploit::PointerConversion`] — the linked-list attack (§3.2.1):
@@ -25,6 +30,8 @@
 //!   an I/O port instead of using it as an address.
 //! * [`Exploit::ShiftWindow`] — the page-mask/shift-window kernel of
 //!   Figure 4, leaking the secret 8 bits per load.
+//! * [`Exploit::BruteForcePage`] — rewrite the NULL pointer to each
+//!   candidate page in turn until one dereferences the secret (§3.3.2).
 //!
 //! [`empirical_matrix`] runs every exploit under every policy and
 //! reproduces the first column of the paper's Table 2 — empirically, not
