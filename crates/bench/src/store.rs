@@ -91,7 +91,8 @@ impl Drop for ClaimTicket {
 pub struct StoreCounters {
     /// Entries served from disk.
     pub hits: u64,
-    /// Lookups that found no (valid) entry.
+    /// Lookups that found no (valid) entry; a point's rechecks within
+    /// one resolution count no further miss.
     pub misses: u64,
     /// Entries written.
     pub stores: u64,
@@ -169,6 +170,15 @@ pub struct ResultStore {
     claim_breaks: AtomicU64,
     scavenged_tmp: AtomicU64,
     scavenged_claims: AtomicU64,
+}
+
+/// Why a read of an entry found nothing usable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Miss {
+    /// No entry file (or one that could not be read).
+    Absent,
+    /// An entry that failed version, key, number or checksum validation.
+    Bad,
 }
 
 /// Default patience for a lost claim before the waiter assumes the
@@ -268,25 +278,37 @@ impl ResultStore {
     }
 
     /// Looks up an entry, validating version, embedded key, and
-    /// checksum. Counts a hit or a miss.
+    /// checksum. Counts a hit or a miss, and a bad entry.
     pub fn load(&self, bench: &str, key: u64) -> Option<SimReport> {
-        match self.load_quiet(bench, key) {
-            Some(r) => {
+        match self.read(bench, key) {
+            Ok(r) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(r)
             }
-            None => {
+            Err(miss) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
+                if miss == Miss::Bad {
+                    self.bad_entries.fetch_add(1, Ordering::Relaxed);
+                }
                 None
             }
         }
     }
 
-    /// [`load`](ResultStore::load) without hit/miss accounting — the
-    /// polling backend of [`await_entry`](ResultStore::await_entry).
-    fn load_quiet(&self, bench: &str, key: u64) -> Option<SimReport> {
+    /// A later look at an entry whose miss a [`load`](ResultStore::load)
+    /// has already counted: a hit counts as a hit, but a miss or a bad
+    /// entry is not counted again, so one resolution of a point counts
+    /// at most one of each.
+    pub(crate) fn recheck(&self, bench: &str, key: u64) -> Option<SimReport> {
+        let r = self.read(bench, key).ok()?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(r)
+    }
+
+    /// Reads and validates an entry without counting anything.
+    fn read(&self, bench: &str, key: u64) -> Result<SimReport, Miss> {
         let path = self.entry_path(bench, key);
-        let text = retry_io(key, || fs::read_to_string(&path))?;
+        let text = retry_io(key, || fs::read_to_string(&path)).ok_or(Miss::Absent)?;
         let parsed = (|| {
             let v = Json::parse(&text).ok()?;
             if v.get("version")?.as_u64()? != crate::CACHE_VERSION {
@@ -301,12 +323,9 @@ impl ResultStore {
             }
             SimReport::from_json(report)
         })();
-        if parsed.is_none() {
-            self.bad_entries.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.touch(key);
-        }
-        parsed
+        let r = parsed.ok_or(Miss::Bad)?;
+        self.touch(key);
+        Ok(r)
     }
 
     /// Publishes an entry atomically (tmp + rename), then applies the
@@ -370,18 +389,19 @@ impl ResultStore {
     /// After losing a claim: polls for the winner's entry. Returns
     /// `None` when the claim disappeared without an entry (the winner
     /// failed to publish) or went stale — the caller simulates itself.
+    /// A poll counts only a hit: the `load` before the claim counted the
+    /// miss, so a bad entry polled again and again still counts once.
     pub fn await_entry(&self, bench: &str, key: u64) -> Option<SimReport> {
         let claim = self.claim_path(key);
         loop {
-            if let Some(r) = self.load_quiet(bench, key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(r) = self.recheck(bench, key) {
                 return Some(r);
             }
             match fs::metadata(&claim) {
                 Err(_) => {
                     // Claim released: either the entry landed (caught on
                     // the next poll) or the winner gave up storing.
-                    return self.load_quiet(bench, key);
+                    return self.recheck(bench, key);
                 }
                 Ok(meta) => {
                     let age = meta
@@ -689,6 +709,24 @@ mod tests {
             }
         }
         assert_eq!(store.counters().misses, 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A lost claim polls the entry every 2 ms: a bad entry sitting
+    /// there counts once, at the `load` before the claim, however many
+    /// polls read it again.
+    #[test]
+    fn awaiting_over_a_bad_entry_counts_it_once() {
+        let dir = temp_dir("await-bad");
+        let store = ResultStore::new(dir.clone()).with_claim_wait(Duration::from_millis(30));
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(store.entry_path("mcf", 3), "{}").unwrap();
+        // A claim nobody releases: the waiter polls until it goes stale.
+        fs::write(store.claim_path(3), "99999").unwrap();
+        assert!(store.load("mcf", 3).is_none());
+        assert!(store.await_entry("mcf", 3).is_none(), "stale claim, bad entry");
+        let c = store.counters();
+        assert_eq!((c.hits, c.misses, c.bad_entries, c.claim_breaks), (0, 1, 1, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -612,7 +612,8 @@ impl Sweep {
                 // have published the entry (and released its claim)
                 // between our miss above and this claim. Owners always
                 // write before releasing, so a recheck hit is final.
-                if let Some(r) = store.load(bench, key) {
+                // The miss above is already counted.
+                if let Some(r) = store.recheck(bench, key) {
                     drop(ticket);
                     return r;
                 }

@@ -173,6 +173,32 @@ fn cache_round_trip_is_byte_stable_across_processes_shape() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// One resolution of a point counts one store lookup: the miss before
+/// the claim, not again the recheck after winning it. A missing entry
+/// is one miss; a bad entry is one miss and one bad entry; the entry the
+/// resolution publishes is a hit for the next sweep.
+#[test]
+fn one_resolution_counts_one_miss_and_one_bad_entry() {
+    let dir = temp_cache("count-once");
+    let counts = |sweep: &Sweep| {
+        let c = sweep.store().expect("cache on").counters();
+        (c.hits, c.misses, c.bad_entries, c.stores)
+    };
+    let sweep = Sweep::new().with_jobs(1).with_cache_dir(dir.clone());
+    sweep.run_point(&point()).expect("gzip simulates");
+    assert_eq!(counts(&sweep), (0, 1, 0, 1), "missing entry: one miss, one store");
+
+    fs::write(entry_path(&dir, &point()), "{\"version\":0}").unwrap();
+    let sweep = Sweep::new().with_jobs(1).with_cache_dir(dir.clone());
+    sweep.run_point(&point()).expect("gzip simulates");
+    assert_eq!(counts(&sweep), (0, 1, 1, 1), "bad entry: one miss, one bad entry");
+
+    let sweep = Sweep::new().with_jobs(1).with_cache_dir(dir.clone());
+    sweep.run_point(&point()).expect("gzip simulates");
+    assert_eq!(counts(&sweep), (1, 0, 0, 0), "the rewritten entry is a hit");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// An entry holding `1e999` (an infinite float once parsed, which has
 /// no rendering) is a bad entry: the point is simulated afresh, and a
 /// second request on the same `Sweep` is answered too, so the first
