@@ -4,24 +4,42 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== build (release, offline) =="
+# Wall time per stage and in total, in ms, by `date +%s%3N` arithmetic
+# (the container has no /usr/bin/time). `stage` prints the running
+# stage's time, if any, and opens the next; `stage_close` prints the
+# last one's.
+T0=$(date +%s%3N)
+T_STAGE=$T0
+STAGE=""
+stage_close() {
+    now=$(date +%s%3N)
+    if [ -n "$STAGE" ]; then echo "-- ${STAGE%%:*}: $((now - T_STAGE)) ms"; fi
+    T_STAGE=$now
+}
+stage() {
+    stage_close
+    STAGE=$1
+    echo "== $1 =="
+}
+
+stage "build (release, offline)"
 cargo build --release --workspace
 
-echo "== test (workspace, offline) =="
+stage "test (workspace, offline)"
 cargo test --workspace -q
 
-echo "== lint (clippy, warnings denied) =="
+stage "lint (clippy, warnings denied)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== docs (rustdoc, warnings denied) =="
+stage "docs (rustdoc, warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "== bench smoke: one short checked perfbench run per workload =="
+stage "bench smoke: one short checked perfbench run per workload"
 # Builds perfbench into .bench_build/ and runs each workload for 2 s in
 # a scratch dir; fails on any incorrect op. Timings are not gated.
 scripts/bench_smoke.sh
 
-echo "== sweep smoke: fresh run, then cache hit =="
+stage "sweep smoke: fresh run, then cache hit"
 SMOKE_RESULTS="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_RESULTS"' EXIT
 # Every stage below gets its own empty results dir; only the fig11 pair
@@ -38,37 +56,38 @@ cmp "$SMOKE_RESULTS/fresh.txt" "$SMOKE_RESULTS/cached.txt" || {
     echo "FAIL: cached sweep output differs from fresh run"; exit 1; }
 echo "cached output byte-identical to fresh run"
 
-echo "== reproduction gate: every paper claim, from an empty results dir =="
+stage "reproduction gate: every paper claim, from an empty results dir"
 # Fixed instruction budgets of its own; exits non-zero on any FAIL.
 SECSIM_RESULTS="$SMOKE_RESULTS/repro" ./target/release/verify_repro
 
-echo "== asm smoke: assemble examples/*.sasm, diff vs golden .sprog, run baseline+commit =="
+stage "asm smoke: assemble examples/*.sasm, diff vs golden .sprog, run baseline+commit"
 SECSIM_RESULTS="$SMOKE_RESULTS/asm" ./target/release/asm --smoke
 
-echo "== check-smoke: differential co-sim batch + checkpoint determinism, all policies, fixed seed =="
+stage "check-smoke: differential co-sim batch + checkpoint determinism, all policies, fixed seed"
 SECSIM_RESULTS="$SMOKE_RESULTS/check" ./target/release/secsim-check --smoke --seed 2006
 
-echo "== oblivious-smoke: two-run secret-independence oracle, all policies =="
+stage "oblivious-smoke: two-run secret-independence oracle, all policies"
 # Obfuscation must show zero address divergences; every other policy
 # must demonstrably leak (the repros land under $SECSIM_RESULTS).
 SECSIM_RESULTS="$SMOKE_RESULTS/oblivious" ./target/release/secsim-check oblivious --smoke --seed 2006
 
-echo "== fault-smoke: injected-tamper campaign, all policies =="
+stage "fault-smoke: injected-tamper campaign, all policies"
 SECSIM_RESULTS="$SMOKE_RESULTS/faults" ./target/release/faults --smoke
 
-echo "== serve-smoke: job server on an ephemeral port, 2 clients x 2-point grid =="
+stage "serve-smoke: job server on an ephemeral port, 2 clients x 2-point grid"
 # Asserts dedup fan-in (each unique point simulated exactly once for
 # both clients), byte-identical reports, and a clean drain on shutdown.
 SECSIM_RESULTS="$SMOKE_RESULTS/serve" ./target/release/secsim-serve --smoke
 
-echo "== serve-sigint: Ctrl-C drains secsim-serve, exit 0 within 5 s =="
+stage "serve-sigint: Ctrl-C drains secsim-serve, exit 0 within 5 s"
 # The binary owns SIGINT and turns it into a wire `shutdown`.
 SECSIM_RESULTS="$SMOKE_RESULTS/serve-sigint" scripts/serve_sigint_smoke.sh
 
-echo "== chaos-smoke: seeded fault-injecting proxy, 2 clients, forced reconnects =="
+stage "chaos-smoke: seeded fault-injecting proxy, 2 clients, forced reconnects"
 # Fixed seed, 90% fault rate: at least one reconnect is guaranteed (and
 # asserted), results must be byte-identical to a fault-free run, and the
 # server must have simulated each unique point exactly once.
 SECSIM_RESULTS="$SMOKE_RESULTS/chaos" ./target/release/chaos --smoke
 
-echo "== tier-1 OK =="
+stage_close
+echo "== tier-1 OK: $(($(date +%s%3N) - T0)) ms in total =="
