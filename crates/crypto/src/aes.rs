@@ -4,6 +4,16 @@
 //! pipelined 256-bit Rijndael). Only what the simulator needs is
 //! implemented: key schedule, single-block encrypt/decrypt. Validated
 //! against the FIPS-197 test vectors.
+//!
+//! Encrypt, the CTR keystream's hot path, is word-oriented: each round
+//! computes a state column as four lookups in one 256-entry table
+//! (`TE`) XORed with the round key, which does SubBytes, ShiftRows and
+//! MixColumns at once. The byte-oriented rounds it replaced stay in the
+//! tests as the reference it is checked against. Decrypt, which only
+//! tests and a doc example call, keeps its byte-oriented form. Table
+//! lookups leak their index through the host's caches, which does not
+//! matter here: the simulator's AES makes the ciphertext of modelled
+//! attacks and guards no host secret.
 
 /// Rijndael S-box.
 const SBOX: [u8; 256] = [
@@ -36,8 +46,47 @@ fn inv_sbox() -> [u8; 256] {
     inv
 }
 
-fn xtime(x: u8) -> u8 {
+const fn xtime(x: u8) -> u8 {
     (x << 1) ^ (((x >> 7) & 1) * 0x1b)
+}
+
+/// The encrypt round table: `TE[x]` is the MixColumns image of a
+/// column holding `S(x)` in row 0 and zeros elsewhere, packed
+/// big-endian (`2·S(x)`, `S(x)`, `S(x)`, `3·S(x)`). A byte in row r
+/// contributes `TE[x]` rotated right by 8r bits.
+const TE: [u32; 256] = {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        let s2 = xtime(s);
+        t[i] = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        i += 1;
+    }
+    t
+};
+
+/// One full encrypt round's output column before its round key:
+/// SubBytes, ShiftRows and MixColumns of the state columns `a`..`d`,
+/// where row r of the output column comes from the r-th argument.
+#[inline(always)]
+fn te_column(a: u32, b: u32, c: u32, d: u32) -> u32 {
+    TE[(a >> 24) as usize]
+        ^ TE[(b >> 16) as u8 as usize].rotate_right(8)
+        ^ TE[(c >> 8) as u8 as usize].rotate_right(16)
+        ^ TE[d as u8 as usize].rotate_right(24)
+}
+
+/// The last round's output column before its round key: SubBytes and
+/// ShiftRows only.
+#[inline(always)]
+fn last_column(a: u32, b: u32, c: u32, d: u32) -> u32 {
+    u32::from_be_bytes([
+        SBOX[(a >> 24) as usize],
+        SBOX[(b >> 16) as u8 as usize],
+        SBOX[(c >> 8) as u8 as usize],
+        SBOX[d as u8 as usize],
+    ])
 }
 
 fn gmul(mut a: u8, mut b: u8) -> u8 {
@@ -69,7 +118,9 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    /// Round keys as big-endian column words: `round_keys[r][c]` is
+    /// column c of round key r, row 0 in its top byte.
+    round_keys: Vec<[u32; 4]>,
     rounds: usize,
 }
 
@@ -114,45 +165,24 @@ impl Aes {
             let prev = w[i - nk];
             w.push([temp[0] ^ prev[0], temp[1] ^ prev[1], temp[2] ^ prev[2], temp[3] ^ prev[3]]);
         }
-        let mut round_keys = Vec::with_capacity(rounds + 1);
-        for r in 0..=rounds {
-            let mut rk = [0u8; 16];
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[r * 4 + c]);
-            }
-            round_keys.push(rk);
-        }
+        let round_keys =
+            w.chunks_exact(4).map(|r| [0, 1, 2, 3].map(|c| u32::from_be_bytes(r[c]))).collect();
         Self { round_keys, rounds }
     }
 
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for (s, k) in state.iter_mut().zip(rk) {
-            *s ^= k;
-        }
-    }
-
-    fn sub_bytes(state: &mut [u8; 16]) {
-        for b in state.iter_mut() {
-            *b = SBOX[*b as usize];
+    /// State layout: column-major, `state[4c + r]` = row r, column c;
+    /// so column c's word holds `state[4c..4c + 4]` big-endian.
+    fn add_round_key(state: &mut [u8; 16], rk: &[u32; 4]) {
+        for (col, k) in state.chunks_exact_mut(4).zip(rk) {
+            for (s, kb) in col.iter_mut().zip(k.to_be_bytes()) {
+                *s ^= kb;
+            }
         }
     }
 
     fn inv_sub_bytes(state: &mut [u8; 16], inv: &[u8; 256]) {
         for b in state.iter_mut() {
             *b = inv[*b as usize];
-        }
-    }
-
-    /// State layout: column-major, `state[4c + r]` = row r, column c.
-    fn shift_rows(state: &mut [u8; 16]) {
-        for r in 1..4 {
-            let mut row = [0u8; 4];
-            for c in 0..4 {
-                row[c] = state[4 * ((c + r) % 4) + r];
-            }
-            for c in 0..4 {
-                state[4 * c + r] = row[c];
-            }
         }
     }
 
@@ -165,21 +195,6 @@ impl Aes {
             for c in 0..4 {
                 state[4 * c + r] = row[c];
             }
-        }
-    }
-
-    fn mix_columns(state: &mut [u8; 16]) {
-        // 2·x = xtime(x) and 3·x = xtime(x) ^ x turn the generic
-        // GF(2^8) multiply into four branch-free xtime ops per column
-        // (encrypt is the CTR keystream hot path; decrypt keeps the
-        // generic form).
-        for c in 0..4 {
-            let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-            let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-            state[4 * c] = col[0] ^ t ^ xtime(col[0] ^ col[1]);
-            state[4 * c + 1] = col[1] ^ t ^ xtime(col[1] ^ col[2]);
-            state[4 * c + 2] = col[2] ^ t ^ xtime(col[2] ^ col[3]);
-            state[4 * c + 3] = col[3] ^ t ^ xtime(col[3] ^ col[0]);
         }
     }
 
@@ -199,16 +214,31 @@ impl Aes {
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[0]);
-        for r in 1..self.rounds {
-            Self::sub_bytes(block);
-            Self::shift_rows(block);
-            Self::mix_columns(block);
-            Self::add_round_key(block, &self.round_keys[r]);
+        let (first, rest) = self.round_keys.split_first().expect("at least one round key");
+        let (last, middle) = rest.split_last().expect("at least two round keys");
+        let mut s = [0, 1, 2, 3].map(|c| {
+            u32::from_be_bytes([block[4 * c], block[4 * c + 1], block[4 * c + 2], block[4 * c + 3]])
+                ^ first[c]
+        });
+        // Row r of output column c comes from input column c + r
+        // (ShiftRows), so each column reads all four inputs.
+        for k in middle {
+            s = [
+                te_column(s[0], s[1], s[2], s[3]) ^ k[0],
+                te_column(s[1], s[2], s[3], s[0]) ^ k[1],
+                te_column(s[2], s[3], s[0], s[1]) ^ k[2],
+                te_column(s[3], s[0], s[1], s[2]) ^ k[3],
+            ];
         }
-        Self::sub_bytes(block);
-        Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[self.rounds]);
+        let out = [
+            last_column(s[0], s[1], s[2], s[3]) ^ last[0],
+            last_column(s[1], s[2], s[3], s[0]) ^ last[1],
+            last_column(s[2], s[3], s[0], s[1]) ^ last[2],
+            last_column(s[3], s[0], s[1], s[2]) ^ last[3],
+        ];
+        for (col, w) in block.chunks_exact_mut(4).zip(out) {
+            col.copy_from_slice(&w.to_be_bytes());
+        }
     }
 
     /// Decrypts one 16-byte block in place.
@@ -230,6 +260,76 @@ impl Aes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use secsim_workloads::SplitMix64;
+
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
+    }
+
+    fn shift_rows(state: &mut [u8; 16]) {
+        for r in 1..4 {
+            let mut row = [0u8; 4];
+            for c in 0..4 {
+                row[c] = state[4 * ((c + r) % 4) + r];
+            }
+            for c in 0..4 {
+                state[4 * c + r] = row[c];
+            }
+        }
+    }
+
+    fn mix_columns(state: &mut [u8; 16]) {
+        // 2·x = xtime(x) and 3·x = xtime(x) ^ x.
+        for c in 0..4 {
+            let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
+            let t = col[0] ^ col[1] ^ col[2] ^ col[3];
+            state[4 * c] = col[0] ^ t ^ xtime(col[0] ^ col[1]);
+            state[4 * c + 1] = col[1] ^ t ^ xtime(col[1] ^ col[2]);
+            state[4 * c + 2] = col[2] ^ t ^ xtime(col[2] ^ col[3]);
+            state[4 * c + 3] = col[3] ^ t ^ xtime(col[3] ^ col[0]);
+        }
+    }
+
+    /// The byte-oriented encrypt rounds the word-oriented ones replaced:
+    /// the reference `encrypt_block` is checked against.
+    fn encrypt_block_bytewise(aes: &Aes, block: &mut [u8; 16]) {
+        Aes::add_round_key(block, &aes.round_keys[0]);
+        for r in 1..aes.rounds {
+            sub_bytes(block);
+            shift_rows(block);
+            mix_columns(block);
+            Aes::add_round_key(block, &aes.round_keys[r]);
+        }
+        sub_bytes(block);
+        shift_rows(block);
+        Aes::add_round_key(block, &aes.round_keys[aes.rounds]);
+    }
+
+    fn random_bytes<const N: usize>(rng: &mut SplitMix64) -> [u8; N] {
+        std::array::from_fn(|_| rng.next_u64() as u8)
+    }
+
+    /// The word-oriented encrypt equals the byte-oriented rounds, for
+    /// seeded AES-128 and AES-256 keys and blocks.
+    #[test]
+    fn encrypt_matches_bytewise_rounds() {
+        for seed in 0..256u64 {
+            let mut rng = SplitMix64::new(seed);
+            let aes128 = Aes::new_128(&random_bytes(&mut rng));
+            let aes256 = Aes::new_256(&random_bytes(&mut rng));
+            for aes in [aes128, aes256] {
+                for _ in 0..4 {
+                    let block: [u8; 16] = random_bytes(&mut rng);
+                    let (mut got, mut want) = (block, block);
+                    aes.encrypt_block(&mut got);
+                    encrypt_block_bytewise(&aes, &mut want);
+                    assert_eq!(got, want, "case seed {seed}, {} rounds, {block:02x?}", aes.rounds);
+                }
+            }
+        }
+    }
 
     /// FIPS-197 Appendix C.1: AES-128.
     #[test]

@@ -34,6 +34,8 @@
 //! assert_eq!(&block[1..], &orig[1..]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod aes;
 mod cbcmac;
 mod ctr;

@@ -155,11 +155,14 @@ impl Json {
             Json::UInt(u) => render_u64(*u, out),
             Json::Float(f) => {
                 assert!(f.is_finite(), "JSON cannot represent non-finite floats");
-                // Keep a decimal point so the value parses back as Float.
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    let _ = write!(out, "{f:.1}");
-                } else {
-                    let _ = write!(out, "{f}");
+                // `{f}` writes the shortest digits that parse back to
+                // `f`, never in exponent form, and a whole value
+                // without a decimal point: add ".0" so it parses back
+                // as Float rather than as an integer.
+                let start = out.len();
+                let _ = write!(out, "{f}");
+                if !out[start..].contains('.') {
+                    out.push_str(".0");
                 }
             }
             Json::Str(s) => render_string(s, out),
@@ -595,6 +598,12 @@ mod tests {
         let v = Json::Float(2.0);
         assert_eq!(v.render(), "2.0");
         assert_eq!(Json::parse("2.0").unwrap(), v);
+        for f in [-0.0, 1e15, -1e16, 2f64.powi(53), 2f64.powi(63), 2f64.powi(64), 1e300, f64::MAX] {
+            match Json::parse(&Json::Float(f).render()) {
+                Ok(Json::Float(back)) => assert_eq!(back.to_bits(), f.to_bits(), "{f:e}"),
+                other => panic!("{f:e} parsed back as {other:?}"),
+            }
+        }
     }
 
     #[test]
