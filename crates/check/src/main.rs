@@ -21,50 +21,32 @@
 
 use secsim_attack::VictimKind;
 use secsim_bench::checkpoint::{fast_forward, from_bytes, to_bytes};
+use secsim_bench::faultpoint;
 use secsim_bench::{emit, results_dir, sim_config_id, with_workload, RunOpts, Sweep, SweepPoint};
 use secsim_check::{
     check_config, check_exposure, dump_divergence, dump_oblivious_divergence, policy_grid,
     run_batch, run_oblivious_batch, victim_oblivious, GridPoint,
 };
-use secsim_core::{EncryptedMemory, FaultKind, FaultPlan};
+use secsim_core::{FaultKind, FaultPlan};
 use secsim_cpu::{SimOutcome, SimSession};
 use secsim_stats::Table;
 use secsim_workloads::{generate_fuzz, generate_secret_fuzz, BenchId};
 
-/// Fault-recovery pass: one scheduled ciphertext flip against an
-/// encrypted victim at every grid policy. Every authenticating policy
-/// must convert it into a precise `TamperDetected` whose exposure
-/// respects that policy's gates ([`check_exposure`]); the baseline must
-/// sail through untouched by the recovery machinery.
+/// Fault-recovery pass: one scheduled ciphertext flip against the
+/// fault campaign's encrypted victim ([`faultpoint::victim`]) at every
+/// grid policy. Every authenticating policy must convert it into a
+/// precise `TamperDetected` whose exposure respects that policy's gates
+/// ([`check_exposure`]); the baseline must sail through untouched by
+/// the recovery machinery.
 ///
 /// Returns `(label, violation-text)` pairs, empty when the pass holds.
 fn fault_pass() -> Vec<(String, String)> {
-    use secsim_isa::{Asm, Reg};
-    const TARGET: u32 = 0x2000;
-    let mut a = Asm::new(0x0);
-    let top = a.new_label();
-    a.li(Reg::R1, TARGET);
-    a.li(Reg::R2, 2_000);
-    a.bind(top).expect("fresh label");
-    a.lw(Reg::R3, Reg::R1, 0);
-    a.add(Reg::R5, Reg::R3, Reg::R3);
-    a.sw(Reg::R5, Reg::R1, 64);
-    a.addi(Reg::R2, Reg::R2, -1);
-    a.bne(Reg::R2, Reg::R0, top);
-    a.halt();
-    let words = a.assemble().expect("victim assembles");
-    let mut plain = vec![0u8; 16 << 10];
-    for (i, w) in words.iter().enumerate() {
-        plain[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
-    }
-
     let mut out = Vec::new();
     for g in policy_grid().iter().filter(|g| g.mac_latency == 74) {
-        let mut image = EncryptedMemory::from_plain(0, &plain, &[0x5A; 16], b"check-faults");
         let cfg = check_config(g.policy, g.mac_latency, 0);
-        let plan =
-            FaultPlan::new().at(800, TARGET, FaultKind::CiphertextFlip { mask: 0x01 });
-        match SimSession::new(&cfg).faults(plan).run(&mut image, 0x0) {
+        let flip = FaultKind::CiphertextFlip { mask: 0x01 };
+        let plan = FaultPlan::new().at(800, faultpoint::TARGET, flip);
+        match SimSession::new(&cfg).faults(plan).run(&mut faultpoint::victim(), 0x0) {
             SimOutcome::TamperDetected { cycle, exposure, .. } => {
                 if cycle < 800 {
                     out.push((g.label.clone(), format!("detected at {cycle}, before injection")));

@@ -26,6 +26,7 @@
 //! assert_eq!(plan.events()[0].cycle, 200);
 //! ```
 
+use secsim_stats::SplitMix64;
 use std::fmt;
 
 /// A tamper operation addressed bytes outside the encrypted image.
@@ -208,16 +209,16 @@ impl FaultPlan {
     pub fn seeded(seed: u64, n: usize, cycles: std::ops::Range<u64>, addrs: &[u32]) -> Self {
         assert!(!addrs.is_empty(), "seeded plan needs at least one target address");
         let span = cycles.end.saturating_sub(cycles.start).max(1);
-        let mut state = seed;
+        let mut rng = SplitMix64::new(seed);
         let mut plan = Self::new();
         for _ in 0..n {
-            let cycle = cycles.start + splitmix64(&mut state) % span;
-            let addr = addrs[(splitmix64(&mut state) % addrs.len() as u64) as usize];
-            let kind = match splitmix64(&mut state) % 4 {
-                0 => FaultKind::CiphertextFlip { mask: 1 << (splitmix64(&mut state) % 8) },
-                1 => FaultKind::TagCorrupt { mask: 1 | splitmix64(&mut state) },
+            let cycle = cycles.start + rng.next_u64() % span;
+            let addr = addrs[(rng.next_u64() % addrs.len() as u64) as usize];
+            let kind = match rng.next_u64() % 4 {
+                0 => FaultKind::CiphertextFlip { mask: 1 << (rng.next_u64() % 8) },
+                1 => FaultKind::TagCorrupt { mask: 1 | rng.next_u64() },
                 2 => FaultKind::CounterReplay,
-                _ => FaultKind::DramFlip { bit: (splitmix64(&mut state) % 8) as u8 },
+                _ => FaultKind::DramFlip { bit: (rng.next_u64() % 8) as u8 },
             };
             plan.push(FaultEvent { cycle, addr, kind });
         }
@@ -238,16 +239,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-}
-
-/// SplitMix64 step (local copy — `secsim-core` sits below the workloads
-/// crate that hosts the shared RNG).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Cursor over a [`FaultPlan`]: hands out the events that have become
@@ -394,6 +385,34 @@ mod tests {
         }
         let c = FaultPlan::seeded(8, 16, 100..5000, &addrs);
         assert_ne!(a, c, "different seeds give different plans");
+    }
+
+    /// The seeded stream is pinned: a generator change that moves any
+    /// drawn cycle, address, kind or mask fails here.
+    #[test]
+    fn seeded_plan_known_answer() {
+        use FaultKind::{CiphertextFlip, CounterReplay, DramFlip, TagCorrupt};
+        let plan = FaultPlan::seeded(7, 16, 100..5000, &[0x4000, 0x4040, 0x4080]);
+        let want = [
+            (328, 0x4080, CounterReplay),
+            (439, 0x4000, TagCorrupt { mask: 0xf89c_5aca_8c44_8a79 }),
+            (458, 0x4080, CounterReplay),
+            (459, 0x4040, CounterReplay),
+            (803, 0x4040, TagCorrupt { mask: 0x77cb_c4a1_33c2_d0f7 }),
+            (980, 0x4040, DramFlip { bit: 5 }),
+            (1187, 0x4000, CounterReplay),
+            (1550, 0x4000, CounterReplay),
+            (2207, 0x4040, TagCorrupt { mask: 0xeb7a_07aa_cd55_5fc9 }),
+            (2315, 0x4080, TagCorrupt { mask: 0x13a1_6201_310d_9abb }),
+            (2501, 0x4000, CiphertextFlip { mask: 0x20 }),
+            (3820, 0x4000, CounterReplay),
+            (3916, 0x4000, CiphertextFlip { mask: 0x40 }),
+            (4482, 0x4080, TagCorrupt { mask: 0x1a82_e79b_05b5_faeb }),
+            (4830, 0x4080, CounterReplay),
+            (4900, 0x4040, TagCorrupt { mask: 0x582d_6717_a91d_279d }),
+        ]
+        .map(|(cycle, addr, kind)| FaultEvent { cycle, addr, kind });
+        assert_eq!(plan.events(), want);
     }
 
     #[test]

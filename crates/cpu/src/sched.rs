@@ -245,6 +245,7 @@ impl FuPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use secsim_stats::SplitMix64;
 
     #[test]
     fn in_order_slots_pack_per_cycle() {
@@ -295,16 +296,10 @@ mod tests {
             let mut ring = WindowSlots::new(width);
             let mut dense: HashMap<u64, u32> = HashMap::new();
             let mut floor = 0u64;
-            let mut rng = 0x2006_u64;
+            let mut rng = SplitMix64::new(0x2006);
             let mut base = 0u64;
             for i in 0..20_000u64 {
-                // SplitMix64: deterministic, no external RNG.
-                rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = rng;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-
+                let z = rng.next_u64();
                 // Mostly local jitter; occasionally leap far past the
                 // ring (wrap) or stretch the live span (growth).
                 let at = match z % 97 {

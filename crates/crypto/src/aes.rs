@@ -1,19 +1,23 @@
-//! AES (Rijndael) block cipher, from scratch.
+//! AES-128 block cipher, from scratch.
 //!
-//! Supports AES-128 and AES-256 (the paper's reference hardware is a
-//! pipelined 256-bit Rijndael). Only what the simulator needs is
-//! implemented: key schedule, single-block encrypt/decrypt. Validated
-//! against the FIPS-197 test vectors.
+//! Only what the simulator needs is implemented: the AES-128 key
+//! schedule and single-block encryption, which is all counter mode
+//! calls (it encrypts and decrypts with the forward cipher). Validated
+//! against the FIPS-197 test vector. The paper's reference engine is a
+//! pipelined 256-bit Rijndael; its latency is modelled in
+//! `CryptoLatency`, independently of this cipher.
 //!
 //! Encrypt, the CTR keystream's hot path, is word-oriented: each round
 //! computes a state column as four lookups in one 256-entry table
 //! (`TE`) XORed with the round key, which does SubBytes, ShiftRows and
 //! MixColumns at once. The byte-oriented rounds it replaced stay in the
-//! tests as the reference it is checked against. Decrypt, which only
-//! tests and a doc example call, keeps its byte-oriented form. Table
-//! lookups leak their index through the host's caches, which does not
-//! matter here: the simulator's AES makes the ciphertext of modelled
-//! attacks and guards no host secret.
+//! tests as the reference it is checked against. Table lookups leak
+//! their index through the host's caches, which does not matter here:
+//! the simulator's AES makes the ciphertext of modelled attacks and
+//! guards no host secret.
+
+/// Number of rounds of AES-128.
+const ROUNDS: usize = 10;
 
 /// Rijndael S-box.
 const SBOX: [u8; 256] = [
@@ -36,15 +40,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb,
     0x16,
 ];
-
-/// Inverse S-box, derived at first use.
-fn inv_sbox() -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    for (i, &s) in SBOX.iter().enumerate() {
-        inv[s as usize] = i as u8;
-    }
-    inv
-}
 
 const fn xtime(x: u8) -> u8 {
     (x << 1) ^ (((x >> 7) & 1) * 0x1b)
@@ -89,133 +84,53 @@ fn last_column(a: u32, b: u32, c: u32, d: u32) -> u32 {
     ])
 }
 
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
-}
-
-/// An AES cipher instance with an expanded key.
+/// An AES-128 cipher instance with an expanded key.
 ///
 /// # Examples
 ///
 /// ```
 /// use secsim_crypto::Aes;
 ///
-/// let aes = Aes::new_128(&[0u8; 16]);
-/// let mut block = [0u8; 16];
+/// // FIPS-197 Appendix C.1: key 00 01 .. 0f, plaintext 00 11 .. ff.
+/// let aes = Aes::new_128(&std::array::from_fn(|i| i as u8));
+/// let mut block: [u8; 16] = std::array::from_fn(|i| 0x11 * i as u8);
 /// aes.encrypt_block(&mut block);
-/// let ct = block;
-/// aes.decrypt_block(&mut block);
-/// assert_eq!(block, [0u8; 16]);
-/// assert_ne!(ct, [0u8; 16]);
+/// assert_eq!(block[..4], [0x69, 0xc4, 0xe0, 0xd8]);
+/// assert_eq!(block[12..], [0x70, 0xb4, 0xc5, 0x5a]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Aes {
     /// Round keys as big-endian column words: `round_keys[r][c]` is
     /// column c of round key r, row 0 in its top byte.
-    round_keys: Vec<[u32; 4]>,
-    rounds: usize,
+    round_keys: [[u32; 4]; ROUNDS + 1],
 }
 
 impl Aes {
     /// Creates an AES-128 instance.
     pub fn new_128(key: &[u8; 16]) -> Self {
-        Self::expand(key, 4, 10)
-    }
-
-    /// Creates an AES-256 instance.
-    pub fn new_256(key: &[u8; 32]) -> Self {
-        Self::expand(key, 8, 14)
-    }
-
-    /// Number of rounds (10 for AES-128, 14 for AES-256).
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    fn expand(key: &[u8], nk: usize, rounds: usize) -> Self {
-        let nb = 4usize;
-        let total_words = nb * (rounds + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+        let mut round_keys = [[0u32; 4]; ROUNDS + 1];
+        for (w, k) in round_keys[0].iter_mut().zip(key.chunks_exact(4)) {
+            *w = u32::from_be_bytes([k[0], k[1], k[2], k[3]]);
         }
         let mut rcon: u8 = 1;
-        for i in nk..total_words {
-            let mut temp = w[i - 1];
-            if i % nk == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= rcon;
-                rcon = xtime(rcon);
-            } else if nk > 6 && i % nk == 4 {
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-            }
-            let prev = w[i - nk];
-            w.push([temp[0] ^ prev[0], temp[1] ^ prev[1], temp[2] ^ prev[2], temp[3] ^ prev[3]]);
-        }
-        let round_keys =
-            w.chunks_exact(4).map(|r| [0, 1, 2, 3].map(|c| u32::from_be_bytes(r[c]))).collect();
-        Self { round_keys, rounds }
-    }
-
-    /// State layout: column-major, `state[4c + r]` = row r, column c;
-    /// so column c's word holds `state[4c..4c + 4]` big-endian.
-    fn add_round_key(state: &mut [u8; 16], rk: &[u32; 4]) {
-        for (col, k) in state.chunks_exact_mut(4).zip(rk) {
-            for (s, kb) in col.iter_mut().zip(k.to_be_bytes()) {
-                *s ^= kb;
+        for r in 1..=ROUNDS {
+            let prev = round_keys[r - 1];
+            // RotWord, SubWord and Rcon on the previous key's last
+            // column, then each column XORs in the one before it.
+            let rot = prev[3].rotate_left(8).to_be_bytes().map(|b| SBOX[b as usize]);
+            let mut t = u32::from_be_bytes(rot) ^ (u32::from(rcon) << 24);
+            rcon = xtime(rcon);
+            for (w, p) in round_keys[r].iter_mut().zip(prev) {
+                t ^= p;
+                *w = t;
             }
         }
-    }
-
-    fn inv_sub_bytes(state: &mut [u8; 16], inv: &[u8; 256]) {
-        for b in state.iter_mut() {
-            *b = inv[*b as usize];
-        }
-    }
-
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        for r in 1..4 {
-            let mut row = [0u8; 4];
-            for c in 0..4 {
-                row[(c + r) % 4] = state[4 * c + r];
-            }
-            for c in 0..4 {
-                state[4 * c + r] = row[c];
-            }
-        }
-    }
-
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-            state[4 * c] =
-                gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-            state[4 * c + 1] =
-                gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-            state[4 * c + 2] =
-                gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-            state[4 * c + 3] =
-                gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
-        }
+        Self { round_keys }
     }
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let (first, rest) = self.round_keys.split_first().expect("at least one round key");
-        let (last, middle) = rest.split_last().expect("at least two round keys");
+        let [first, middle @ .., last] = &self.round_keys;
         let mut s = [0, 1, 2, 3].map(|c| {
             u32::from_be_bytes([block[4 * c], block[4 * c + 1], block[4 * c + 2], block[4 * c + 3]])
                 ^ first[c]
@@ -240,27 +155,22 @@ impl Aes {
             col.copy_from_slice(&w.to_be_bytes());
         }
     }
-
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        let inv = inv_sbox();
-        Self::add_round_key(block, &self.round_keys[self.rounds]);
-        for r in (1..self.rounds).rev() {
-            Self::inv_shift_rows(block);
-            Self::inv_sub_bytes(block, &inv);
-            Self::add_round_key(block, &self.round_keys[r]);
-            Self::inv_mix_columns(block);
-        }
-        Self::inv_shift_rows(block);
-        Self::inv_sub_bytes(block, &inv);
-        Self::add_round_key(block, &self.round_keys[0]);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use secsim_workloads::SplitMix64;
+    use secsim_stats::SplitMix64;
+
+    /// State layout: column-major, `state[4c + r]` = row r, column c;
+    /// so column c's word holds `state[4c..4c + 4]` big-endian.
+    fn add_round_key(state: &mut [u8; 16], rk: &[u32; 4]) {
+        for (col, k) in state.chunks_exact_mut(4).zip(rk) {
+            for (s, kb) in col.iter_mut().zip(k.to_be_bytes()) {
+                *s ^= kb;
+            }
+        }
+    }
 
     fn sub_bytes(state: &mut [u8; 16]) {
         for b in state.iter_mut() {
@@ -295,38 +205,39 @@ mod tests {
     /// The byte-oriented encrypt rounds the word-oriented ones replaced:
     /// the reference `encrypt_block` is checked against.
     fn encrypt_block_bytewise(aes: &Aes, block: &mut [u8; 16]) {
-        Aes::add_round_key(block, &aes.round_keys[0]);
-        for r in 1..aes.rounds {
+        add_round_key(block, &aes.round_keys[0]);
+        for rk in &aes.round_keys[1..ROUNDS] {
             sub_bytes(block);
             shift_rows(block);
             mix_columns(block);
-            Aes::add_round_key(block, &aes.round_keys[r]);
+            add_round_key(block, rk);
         }
         sub_bytes(block);
         shift_rows(block);
-        Aes::add_round_key(block, &aes.round_keys[aes.rounds]);
+        add_round_key(block, &aes.round_keys[ROUNDS]);
     }
 
     fn random_bytes<const N: usize>(rng: &mut SplitMix64) -> [u8; N] {
         std::array::from_fn(|_| rng.next_u64() as u8)
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     /// The word-oriented encrypt equals the byte-oriented rounds, for
-    /// seeded AES-128 and AES-256 keys and blocks.
+    /// seeded keys and blocks.
     #[test]
     fn encrypt_matches_bytewise_rounds() {
         for seed in 0..256u64 {
             let mut rng = SplitMix64::new(seed);
-            let aes128 = Aes::new_128(&random_bytes(&mut rng));
-            let aes256 = Aes::new_256(&random_bytes(&mut rng));
-            for aes in [aes128, aes256] {
-                for _ in 0..4 {
-                    let block: [u8; 16] = random_bytes(&mut rng);
-                    let (mut got, mut want) = (block, block);
-                    aes.encrypt_block(&mut got);
-                    encrypt_block_bytewise(&aes, &mut want);
-                    assert_eq!(got, want, "case seed {seed}, {} rounds, {block:02x?}", aes.rounds);
-                }
+            let aes = Aes::new_128(&random_bytes(&mut rng));
+            for _ in 0..4 {
+                let block: [u8; 16] = random_bytes(&mut rng);
+                let (mut got, mut want) = (block, block);
+                aes.encrypt_block(&mut got);
+                encrypt_block_bytewise(&aes, &mut want);
+                assert_eq!(got, want, "case seed {seed}, {block:02x?}");
             }
         }
     }
@@ -346,66 +257,26 @@ mod tests {
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a,
         ];
-        let aes = Aes::new_128(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(block, expected);
-        aes.decrypt_block(&mut block);
-        assert_eq!(block[0], 0x00);
-        assert_eq!(block[15], 0xff);
-    }
-
-    /// FIPS-197 Appendix C.3: AES-256.
-    #[test]
-    fn fips197_aes256_vector() {
-        let key: [u8; 32] = [
-            0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-            0x0e, 0x0f, 0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, 0x19, 0x1a, 0x1b,
-            0x1c, 0x1d, 0x1e, 0x1f,
-        ];
-        let mut block: [u8; 16] = [
-            0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
-            0xee, 0xff,
-        ];
-        let expected: [u8; 16] = [
-            0x8e, 0xa2, 0xb7, 0xca, 0x51, 0x67, 0x45, 0xbf, 0xea, 0xfc, 0x49, 0x90, 0x4b, 0x49,
-            0x60, 0x89,
-        ];
-        let aes = Aes::new_256(&key);
-        aes.encrypt_block(&mut block);
+        Aes::new_128(&key).encrypt_block(&mut block);
         assert_eq!(block, expected);
     }
 
+    /// The AES-128 known answers of NIST's GCM test cases 1 and 3: the
+    /// hash subkey `H = E_K(0^128)` for the zero key and for key
+    /// `feffe992…67308308`.
     #[test]
-    fn encrypt_decrypt_round_trip_many() {
-        let aes = Aes::new_128(&[0x42; 16]);
-        for i in 0..64u8 {
-            let mut block = [i; 16];
-            let orig = block;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, orig);
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, orig);
-        }
-    }
-
-    #[test]
-    fn rounds_counts() {
-        assert_eq!(Aes::new_128(&[0; 16]).rounds(), 10);
-        assert_eq!(Aes::new_256(&[0; 32]).rounds(), 14);
-    }
-
-    #[test]
-    fn gmul_identities() {
-        assert_eq!(gmul(0x57, 0x13), 0xfe); // FIPS-197 §4.2.1 example
-        assert_eq!(gmul(1, 0xab), 0xab);
-        assert_eq!(gmul(0, 0xff), 0);
-    }
-
-    #[test]
-    fn inv_sbox_inverts() {
-        let inv = inv_sbox();
-        for i in 0..=255u8 {
-            assert_eq!(inv[SBOX[i as usize] as usize], i);
+    fn nist_gcm_hash_subkeys() {
+        let key3: [u8; 16] = [
+            0xfe, 0xff, 0xe9, 0x92, 0x86, 0x65, 0x73, 0x1c, 0x6d, 0x6a, 0x8f, 0x94, 0x67, 0x30,
+            0x83, 0x08,
+        ];
+        for (key, h) in [
+            ([0u8; 16], "66e94bd4ef8a2c3b884cfa59ca342b2e"),
+            (key3, "b83b533708bf535d0aa6e52980d53b78"),
+        ] {
+            let mut block = [0u8; 16];
+            Aes::new_128(&key).encrypt_block(&mut block);
+            assert_eq!(hex(&block), h, "key {}", hex(&key));
         }
     }
 }

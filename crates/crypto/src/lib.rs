@@ -3,11 +3,13 @@
 //! The paper's secure processor relies on two cryptographic services:
 //! memory **encryption** (counter-mode AES, so decryption pads can be
 //! precomputed while the memory fetch is in flight) and **authentication**
-//! (per-line truncated HMAC-SHA256, or CBC-MAC for the Table 1
-//! comparison). This crate implements all of them *functionally* — from
+//! (per-line truncated HMAC-SHA256). This crate implements both
+//! *functionally* — AES-128 in counter mode and HMAC-SHA256, from
 //! scratch, validated against FIPS/RFC test vectors — and provides the
 //! paper's **latency models** (80 ns AES, 74 ns SHA-256 per 512-bit
-//! block) used by the timing simulator.
+//! block) used by the timing simulator. The alternatives that Table 1
+//! and the ablations compare against (CBC decryption, CBC-MAC, GMAC)
+//! exist only as latency models: no exploit needs their function.
 //!
 //! Functional correctness matters beyond realism: the exploit harness in
 //! `secsim-attack` performs genuine ciphertext bit-flipping against
@@ -37,17 +39,13 @@
 #![forbid(unsafe_code)]
 
 mod aes;
-mod cbcmac;
 mod ctr;
-mod gcm;
 mod hmac;
 mod latency;
 mod sha256;
 
 pub use aes::Aes;
-pub use cbcmac::CbcMac;
 pub use ctr::CtrKeystream;
-pub use gcm::Gmac;
 pub use hmac::{hmac_sha256, truncated_mac, HmacSha256};
 pub use latency::{CryptoLatency, EncryptionMode, LatencyGap, MacScheme};
 pub use sha256::Sha256;

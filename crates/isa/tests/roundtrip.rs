@@ -18,6 +18,7 @@
 //!    panic; `Illegal` words re-encode verbatim.
 
 use secsim_isa::{decode, encode, step, ArchState, Fault, FlatMem, FReg, Inst, MemIo, Reg};
+use secsim_stats::SplitMix64;
 
 const REGS: [Reg; 4] = [Reg::R0, Reg::R1, Reg::R15, Reg::R31];
 const FREGS: [FReg; 4] = [FReg::R0, FReg::R1, FReg::R15, FReg::R31];
@@ -154,22 +155,10 @@ fn canonical_words_are_distinct_per_form() {
     }
 }
 
-/// SplitMix64, inlined to keep this crate dependency-free.
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
 #[test]
 fn decode_is_total_and_canonicalization_is_idempotent() {
-    let mut rng = Rng(0x0DDC_0FFE);
-    let mut words: Vec<u32> = (0..200_000).map(|_| rng.next() as u32).collect();
+    let mut rng = SplitMix64::new(0x0DDC_0FFE);
+    let mut words: Vec<u32> = (0..200_000).map(|_| rng.next_u64() as u32).collect();
     // All opcodes × interesting field patterns, including every funct
     // value of the two R-type opcodes.
     for opc in 0..64u32 {

@@ -15,6 +15,8 @@
 //!   fingerprinting for cache keys.
 //! * [`FastMap`] / [`FastSet`] / [`FxHasher`] — deterministic, fast
 //!   hashing for simulator-internal maps on the hot path.
+//! * [`SplitMix64`] — the seeded pseudo-random stream behind workload
+//!   images, fuzz programs, fault plans and the seeded tests.
 //! * [`Timeline`] / [`OccupancySeries`] — Chrome `trace_event` JSON
 //!   export (spans, counters, lane allocation) for `--trace` output.
 //!
@@ -37,6 +39,7 @@ mod counters;
 mod fxhash;
 mod histogram;
 mod json;
+mod rng;
 mod stable_hash;
 mod summary;
 mod table;
@@ -46,6 +49,7 @@ pub use counters::CounterSet;
 pub use fxhash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use histogram::Histogram;
 pub use json::{Json, JsonError};
+pub use rng::SplitMix64;
 pub use stable_hash::{StableHash, StableHasher};
 pub use summary::{geomean, Summary};
 pub use table::{fmt3, Table};

@@ -1,7 +1,7 @@
 //! Workload assembly: program + initialized memory image.
 
 use crate::kernels::{emit, KernelKind};
-use crate::rng::SplitMix64;
+use crate::SplitMix64;
 use crate::spec::{Phase, Profile};
 use secsim_isa::{Asm, FReg, FlatMem, MemIo, Reg};
 

@@ -16,7 +16,7 @@
 //! image's out-of-bounds counter stays zero.
 
 use crate::builder::{Workload, CODE_BASE, DATA_BASE};
-use crate::rng::SplitMix64;
+use crate::SplitMix64;
 use secsim_isa::{Asm, FReg, FlatMem, MemIo, Reg};
 
 /// Data footprint of every fuzz program (power of two, small enough

@@ -43,7 +43,6 @@ mod fuzz;
 mod kernels;
 mod micro;
 mod prog;
-mod rng;
 mod source;
 mod spec;
 
@@ -54,7 +53,7 @@ pub use fuzz::{
     FUZZ_FOOTPRINT, SECRET_OFF,
 };
 pub use prog::{ProgError, ProgramImage, Reloc, RelocKind, Segment, PROG_MAGIC, PROG_VERSION};
-pub use rng::SplitMix64;
+pub use secsim_stats::SplitMix64;
 pub use kernels::KernelKind;
 pub use micro::Micro;
 pub use source::{register_program, ExternalId, ProgramSource, SourceError};

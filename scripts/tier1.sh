@@ -22,8 +22,9 @@ stage() {
     echo "== $1 =="
 }
 
-stage "build (release, offline)"
-cargo build --release --workspace
+stage "build (release, offline, Cargo.lock as committed)"
+# --locked fails the gate when Cargo.lock no longer matches the manifests.
+cargo build --release --workspace --locked
 
 stage "test (workspace, offline)"
 cargo test --workspace -q
