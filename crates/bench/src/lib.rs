@@ -37,6 +37,7 @@ use secsim_stats::{FastMap, Table};
 use secsim_workloads::{BenchId, Workload};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// L2 capacity point (paper Table 3 evaluates both).
@@ -220,6 +221,28 @@ fn run_point(bench: BenchId, seed: u64, warmup_insts: u64, session: SimSession<'
 pub fn run_bench(bench: BenchId, policy: Policy, opts: &RunOpts) -> SimReport {
     let cfg = sim_config_id(bench, policy, opts);
     run_point(bench, opts.seed, opts.warmup_insts, SimSession::new(&cfg)).into_report()
+}
+
+/// Computes `f(0)`, …, `f(n - 1)` on up to `jobs` scoped worker
+/// threads (none when `n` is 0), each claiming the next unclaimed
+/// index, and returns the results in index order: the batch loop
+/// behind [`Sweep::run`] and the `secsim-check` batches.
+pub fn par_map<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..jobs.max(1).min(n) {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                *slot.lock().expect("slot poisoned") = Some(f(i));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("slot poisoned").expect("every index ran"))
+        .collect()
 }
 
 /// Runs `bench` under `policy` and the decrypt-only baseline, returning

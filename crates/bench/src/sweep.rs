@@ -62,17 +62,17 @@
 //! ```
 
 use crate::store::{Claim, ResultStore};
-use crate::{results_dir, sim_config_id, RunOpts};
+use crate::{par_map, results_dir, sim_config_id, RunOpts};
 use secsim_core::Policy;
 use secsim_cpu::{SimConfig, SimReport, SimSession, TraceConfig};
 use secsim_stats::{StableHash, StableHasher};
-use secsim_workloads::{BenchId, ParseBenchError, ProgramSource};
+use secsim_workloads::{BenchId, ParseBenchError};
 use std::any::Any;
 use std::collections::HashMap;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Why a sweep point produced no report.
@@ -368,8 +368,8 @@ impl Sweep {
                         eprintln!("error: --program needs a .sasm or .sprog file");
                         std::process::exit(2);
                     };
-                    match ProgramSource::from_arg(&path) {
-                        Ok(src) => sweep.externals.push(src.bench_id()),
+                    match BenchId::from_arg(&path) {
+                        Ok(bench) => sweep.externals.push(bench),
                         Err(e) => {
                             eprintln!("error: --program {path}: {e}");
                             std::process::exit(2);
@@ -494,47 +494,31 @@ impl Sweep {
                 }
             }
         }
-        let mut slots: Vec<Mutex<Option<Result<SimReport, SweepError>>>> =
-            Vec::with_capacity(points.len());
-        slots.resize_with(points.len(), || Mutex::new(None));
-        let todo: Vec<usize> = {
+        let mut results: Vec<Option<Result<SimReport, SweepError>>> = {
             // Memo prepass keeps fully-warm grids (repeated tables in
             // one binary) from spawning workers at all.
             let memo = self.memo.lock().expect("memo poisoned");
-            let mut todo = Vec::new();
-            for (i, p) in points.iter().enumerate() {
-                match memo.get(&p.key()) {
-                    Some(m) => {
-                        self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                        *slots[i].lock().expect("slot") = Some(Ok(m.report.clone()));
-                    }
-                    None => todo.push(i),
-                }
-            }
-            todo
+            points
+                .iter()
+                .map(|p| {
+                    let m = memo.get(&p.key())?;
+                    self.memo_hits.fetch_add(1, Ordering::Relaxed);
+                    Some(Ok(m.report.clone()))
+                })
+                .collect()
         };
-
-        let next = AtomicUsize::new(0);
-        let workers = self.jobs.min(todo.len().max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let n = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = todo.get(n) else { break };
-                    *slots[i].lock().expect("slot") = Some(self.run_point(&points[i]));
-                });
-            }
-        });
+        let todo: Vec<usize> = (0..points.len()).filter(|&i| results[i].is_none()).collect();
+        let fresh = par_map(todo.len(), self.jobs, |n| self.run_point(&points[todo[n]]));
+        for (i, r) in todo.into_iter().zip(fresh) {
+            results[i] = Some(r);
+        }
 
         if let Some(path) = self.trace_out.lock().expect("trace_out poisoned").take() {
             if let Some(p) = points.first() {
                 write_chrome_trace(p, &path);
             }
         }
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("slot poisoned").expect("every slot filled"))
-            .collect()
+        results.into_iter().map(|r| r.expect("every point resolved")).collect()
     }
 
     /// Runs one point through the full dedup stack: in-process memo →

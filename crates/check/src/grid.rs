@@ -2,11 +2,10 @@
 
 use crate::diff::{diff_run, Divergence};
 use crate::oracle::{check_records, check_stall_completeness, GateViolation};
+use secsim_bench::par_map;
 use secsim_core::{FetchGateVariant, Policy};
 use secsim_cpu::SimConfig;
 use secsim_workloads::{generate_fuzz, DATA_BASE, FUZZ_FOOTPRINT};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Seed-spreading constant (the SplitMix64 increment), so per-program
 /// seeds are well distributed even from a small base seed.
@@ -116,45 +115,28 @@ pub fn run_batch(
     base_seed: u64,
     jobs: usize,
 ) -> BatchSummary {
-    let total = points.len() * per_point;
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<TaskResult>>> =
-        (0..total).map(|_| Mutex::new(None)).collect();
-    let workers = jobs.clamp(1, total.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let point = &points[i / per_point];
-                let k = (i % per_point) as u64;
-                let seed = base_seed ^ k.wrapping_mul(SEED_STRIDE);
-                let fz = generate_fuzz(seed);
-                let cfg = check_config(point.policy, point.mac_latency, fz.max_icount + 8);
-                let out = diff_run("fuzz", seed, &fz.workload, &cfg);
-                let mut violations = check_records(&point.policy, &out.records);
-                violations.extend(check_stall_completeness(cfg.cpu.commit_width, &out.report));
-                *results[i].lock().unwrap() = Some(TaskResult {
-                    insts: out.report.insts,
-                    cycles: out.report.cycles,
-                    divergence: out.divergence,
-                    violations,
-                });
-            });
+    let results = par_map(points.len() * per_point, jobs, |i| {
+        let point = &points[i / per_point];
+        let k = (i % per_point) as u64;
+        let seed = base_seed ^ k.wrapping_mul(SEED_STRIDE);
+        let fz = generate_fuzz(seed);
+        let cfg = check_config(point.policy, point.mac_latency, fz.max_icount + 8);
+        let out = diff_run("fuzz", seed, &fz.workload, &cfg);
+        let mut violations = check_records(&point.policy, &out.records);
+        violations.extend(check_stall_completeness(cfg.cpu.commit_width, &out.report));
+        TaskResult {
+            insts: out.report.insts,
+            cycles: out.report.cycles,
+            divergence: out.divergence,
+            violations,
         }
     });
 
     let mut summary = BatchSummary::default();
-    for (pi, point) in points.iter().enumerate() {
+    let mut results = results.into_iter();
+    for point in points {
         let mut stats = PointStats { label: point.label.clone(), ..PointStats::default() };
-        for k in 0..per_point {
-            let r = results[pi * per_point + k]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("every task ran");
+        for r in results.by_ref().take(per_point) {
             stats.programs += 1;
             stats.insts += r.insts;
             stats.cycles += r.cycles;

@@ -34,6 +34,7 @@
 use crate::diff::config_fingerprint;
 use crate::grid::{check_config, GridPoint, SEED_STRIDE};
 use secsim_attack::{Victim, VictimKind, IMAGE_BYTES};
+use secsim_bench::par_map;
 use secsim_core::{Policy, REMAP_BASE};
 use secsim_cpu::{SecureImage, SimConfig, SimSession};
 use secsim_mem::{BusDigest, BusEvent};
@@ -41,8 +42,6 @@ use secsim_stats::Json;
 use secsim_workloads::{generate_secret_fuzz, DATA_BASE, FUZZ_FOOTPRINT};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The two secret fills of a run pair: all-zeros vs all-ones, so every
 /// bit (and so every probed field) of the secret differs.
@@ -495,42 +494,25 @@ pub fn run_oblivious_batch(
     base_seed: u64,
     jobs: usize,
 ) -> OblivBatchSummary {
-    let total = points.len() * per_point;
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<OblivTask>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let workers = jobs.clamp(1, total.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let point = &points[i / per_point];
-                let k = (i % per_point) as u64;
-                let seed = base_seed ^ k.wrapping_mul(SEED_STRIDE);
-                let rep = fuzz_oblivious(point.policy, point.mac_latency, seed);
-                *results[i].lock().unwrap() = Some(OblivTask {
-                    insts: rep.insts,
-                    events: rep.events,
-                    addr: rep.addr,
-                    timing: rep.timing,
-                });
-            });
-        }
+    let results = par_map(points.len() * per_point, jobs, |i| {
+        let point = &points[i / per_point];
+        let k = (i % per_point) as u64;
+        let seed = base_seed ^ k.wrapping_mul(SEED_STRIDE);
+        let rep = fuzz_oblivious(point.policy, point.mac_latency, seed);
+        OblivTask { insts: rep.insts, events: rep.events, addr: rep.addr, timing: rep.timing }
     });
+    let mut results = results.into_iter();
 
     let mut summary = OblivBatchSummary::default();
-    for (pi, point) in points.iter().enumerate() {
+    for point in points {
         let mut stats = OblivPointStats {
             label: point.label.clone(),
             obfuscated: point.policy.obfuscate,
             ..OblivPointStats::default()
         };
         let mut first: Option<(u64, u64, TraceDivergence)> = None;
-        for k in 0..per_point {
+        for (k, r) in results.by_ref().take(per_point).enumerate() {
             let seed = base_seed ^ (k as u64).wrapping_mul(SEED_STRIDE);
-            let r = results[pi * per_point + k].lock().unwrap().take().expect("every task ran");
             stats.programs += 1;
             stats.insts += r.insts;
             stats.events += r.events;

@@ -840,12 +840,6 @@ pub(crate) fn run_pipeline<M: SecureImage>(
                 ifetch_granted,
             });
         }
-        if insts < 40 && std::env::var_os("SECSIM_TRACE_PIPE").is_some() {
-            eprintln!(
-                "#{insts} pc={:#x} {} ft={ft} dt={dt} ready={ready} complete={complete} ct={ct}",
-                info.pc, info.inst
-            );
-        }
         insts += 1;
         last_commit = ct;
     }

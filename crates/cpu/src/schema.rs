@@ -644,7 +644,8 @@ mod tests {
         mem.dram.banks = 1 << 10;
         ctrl.queue.capacity = WINDOW.max as usize;
         assert_eq!(cfg.validate(), Ok(()));
-        let report = crate::SimSession::new(&cfg).program(BenchId::Gzip).run_program().into_report();
+        let mut w = BenchId::Gzip.build(0);
+        let report = crate::SimSession::new(&cfg).run(&mut w.mem, w.entry).into_report();
         assert_eq!(report.insts, 2_000);
 
         let mut over = cfg;

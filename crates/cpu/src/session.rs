@@ -2,10 +2,8 @@
 //!
 //! [`SimSession`] is one builder for every way to run the pipeline:
 //! configure bus tracing, event tracing, a retire observer, and an
-//! optional [`FaultPlan`], then [`run`](SimSession::run) an image —
-//! or [`run_program`](SimSession::run_program) a
-//! [`ProgramSource`] (builtin kernel, fuzz spec, or external image),
-//! which is the single front door programs enter simulations through.
+//! optional [`FaultPlan`], then [`run`](SimSession::run) an image (a
+//! built workload's `mem` and `entry`, whatever the program's source).
 //! All observers are optional and none affects the computed timing — a
 //! bare session is cycle-for-cycle (and byte-for-byte in its
 //! [`SimReport`]) identical to the bare pipeline.
@@ -51,7 +49,6 @@ use crate::report::SimReport;
 use crate::trace::{SimTrace, TraceConfig};
 use secsim_core::{Exposure, FaultPlan, TamperCause};
 use secsim_isa::ArchState;
-use secsim_workloads::ProgramSource;
 
 /// Everything one simulation run produced, however it ended.
 #[derive(Debug)]
@@ -175,8 +172,6 @@ pub struct SimSession<'a> {
     observer: Option<Observer<'a>>,
     faults: Option<FaultPlan>,
     start: Option<ArchState>,
-    program: Option<ProgramSource>,
-    seed: u64,
 }
 
 impl<'a> SimSession<'a> {
@@ -198,42 +193,7 @@ impl<'a> SimSession<'a> {
             observer: None,
             faults: None,
             start: None,
-            program: None,
-            seed: 0,
         }
-    }
-
-    /// Sets the program to simulate: anything that converts into a
-    /// [`ProgramSource`] — a [`BenchId`](secsim_workloads::BenchId)
-    /// (builtin kernel or fuzz target), an
-    /// [`ExternalId`](secsim_workloads::ExternalId), or an explicit
-    /// source. This is the single front door for programs; run with
-    /// [`run_program`](SimSession::run_program).
-    pub fn program(mut self, source: impl Into<ProgramSource>) -> Self {
-        self.program = Some(source.into());
-        self
-    }
-
-    /// Seed for the program build (kernel data layouts, fuzz program
-    /// selection; external images ignore it). Defaults to 0.
-    pub fn program_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builds the configured [`program`](SimSession::program)
-    /// deterministically in the configured seed and runs it.
-    ///
-    /// # Panics
-    ///
-    /// If no program was set — pass one with
-    /// [`program`](SimSession::program) first.
-    pub fn run_program(self) -> SimOutcome {
-        let source = self.program.expect("SimSession::run_program needs .program(...) first");
-        let seed = self.seed;
-        let mut w = source.build(seed);
-        let entry = w.entry;
-        self.run(&mut w.mem, entry)
     }
 
     /// Starts the run from `state` instead of a cold

@@ -5,16 +5,9 @@
 //! assert message, so a failure replays from that seed alone.
 
 use secsim_crypto::{Aes, CtrKeystream, HmacSha256, Sha256};
-use secsim_stats::SplitMix64;
+use secsim_stats::{for_each_case, SplitMix64};
 
 const CASES: u64 = 256;
-
-/// Runs `property` once per case seed in `0..CASES`.
-fn for_each_case(mut property: impl FnMut(u64, &mut SplitMix64)) {
-    for seed in 0..CASES {
-        property(seed, &mut SplitMix64::new(seed));
-    }
-}
 
 fn bytes<const N: usize>(rng: &mut SplitMix64) -> [u8; N] {
     std::array::from_fn(|_| rng.next_u64() as u8)
@@ -29,7 +22,7 @@ fn byte_vec(rng: &mut SplitMix64, lens: std::ops::Range<usize>) -> Vec<u8> {
 /// The CTR keystream is an involution for data of any length.
 #[test]
 fn ctr_involution() {
-    for_each_case(|seed, rng| {
+    for_each_case(CASES, |seed, rng| {
         let ks = CtrKeystream::new(Aes::new_128(&bytes(rng)));
         let (addr, ctr) = (rng.next_u32(), rng.next_u64());
         let data = byte_vec(rng, 0..200);
@@ -44,7 +37,7 @@ fn ctr_involution() {
 /// bit k — the foundation of every exploit in the paper.
 #[test]
 fn ctr_bit_flip_is_local() {
-    for_each_case(|seed, rng| {
+    for_each_case(CASES, |seed, rng| {
         let ks = CtrKeystream::new(Aes::new_128(&bytes(rng)));
         let (addr, ctr) = (rng.next_u32(), rng.next_u64());
         let data = byte_vec(rng, 1..128);
@@ -62,7 +55,7 @@ fn ctr_bit_flip_is_local() {
 /// HMAC detects any single-bit tamper of the message.
 #[test]
 fn hmac_detects_single_bit_tamper() {
-    for_each_case(|seed, rng| {
+    for_each_case(CASES, |seed, rng| {
         let mac = HmacSha256::new(&byte_vec(rng, 1..64));
         let data = byte_vec(rng, 1..128);
         let tag = mac.compute_truncated(&data);
@@ -77,7 +70,7 @@ fn hmac_detects_single_bit_tamper() {
 /// Incremental SHA-256 equals one-shot for any split.
 #[test]
 fn sha256_incremental_equals_oneshot() {
-    for_each_case(|seed, rng| {
+    for_each_case(CASES, |seed, rng| {
         let data = byte_vec(rng, 0..300);
         let split = rng.index(data.len() + 1);
         let mut h = Sha256::new();

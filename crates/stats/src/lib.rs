@@ -16,7 +16,8 @@
 //! * [`FastMap`] / [`FastSet`] / [`FxHasher`] — deterministic, fast
 //!   hashing for simulator-internal maps on the hot path.
 //! * [`SplitMix64`] — the seeded pseudo-random stream behind workload
-//!   images, fuzz programs, fault plans and the seeded tests.
+//!   images, fuzz programs, fault plans and the seeded tests, and
+//!   [`for_each_case`], which every seeded property test runs on.
 //! * [`Timeline`] / [`OccupancySeries`] — Chrome `trace_event` JSON
 //!   export (spans, counters, lane allocation) for `--trace` output.
 //!
@@ -49,7 +50,7 @@ pub use counters::CounterSet;
 pub use fxhash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use histogram::Histogram;
 pub use json::{Json, JsonError};
-pub use rng::SplitMix64;
+pub use rng::{for_each_case, SplitMix64};
 pub use stable_hash::{StableHash, StableHasher};
 pub use summary::{geomean, Summary};
 pub use table::{fmt3, Table};

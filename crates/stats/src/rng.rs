@@ -56,6 +56,30 @@ impl SplitMix64 {
     }
 }
 
+/// Runs a seeded property once per case seed in `0..cases`; every
+/// seeded property test in the workspace runs on it.
+///
+/// Case `seed` draws its inputs from `SplitMix64::new(seed)`, and the
+/// property names the seed in every assert message, so a failure
+/// replays from that seed alone. There is no shrinking: a property
+/// keeps its inputs small enough that the failing case reads as is.
+///
+/// # Examples
+///
+/// ```
+/// use secsim_stats::for_each_case;
+///
+/// for_each_case(64, |seed, rng| {
+///     let (a, b) = (rng.next_u32(), rng.next_u32());
+///     assert_eq!(a ^ b ^ b, a, "case seed {seed}");
+/// });
+/// ```
+pub fn for_each_case(cases: u64, mut property: impl FnMut(u64, &mut SplitMix64)) {
+    for seed in 0..cases {
+        property(seed, &mut SplitMix64::new(seed));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

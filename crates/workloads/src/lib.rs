@@ -22,9 +22,9 @@
 //! External programs enter through the same front door: the [`asm`]
 //! module assembles `.sasm` text into a relocatable [`ProgramImage`]
 //! (serialized as versioned `.sprog` files), [`register_program`] turns
-//! an image into a [`BenchId::External`] handle, and [`ProgramSource`]
-//! unifies all three origins (builtin | fuzz | external) for session
-//! and sweep builders.
+//! an image into a [`BenchId::External`] handle, and
+//! [`BenchId::from_arg`] resolves a CLI argument (bench name, `.sasm` or
+//! `.sprog` path) to the [`BenchId`] that sessions and sweeps run.
 //!
 //! # Examples
 //!
@@ -56,5 +56,5 @@ pub use prog::{ProgError, ProgramImage, Reloc, RelocKind, Segment, PROG_MAGIC, P
 pub use secsim_stats::SplitMix64;
 pub use kernels::KernelKind;
 pub use micro::Micro;
-pub use source::{register_program, ExternalId, ProgramSource, SourceError};
+pub use source::{register_program, ExternalId, SourceError};
 pub use spec::{BenchClass, BenchId, ParseBenchError, Phase, Profile};

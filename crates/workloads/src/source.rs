@@ -1,33 +1,25 @@
-//! [`ProgramSource`]: the single front door through which programs
-//! enter a simulation.
+//! External programs: a process-global registry of assembled or loaded
+//! images, and [`BenchId::from_arg`], which turns a CLI argument into the
+//! [`BenchId`] that sessions, sweep grids, cache keys and checkpoints
+//! already speak.
 //!
-//! Every way of obtaining a program — a built-in SPEC-like kernel, the
-//! deterministic fuzz generator, or an external image produced by the
-//! assembler/loader — normalizes into this one `Copy` value, so session
-//! builders, sweep grids, cache keys and checkpoints all speak a single
-//! type.
-//!
-//! External images live in a process-global registry: registering an
-//! image returns a tiny [`ExternalId`] handle (deduplicated by content
-//! hash) which [`BenchId::External`] then carries through everything
-//! built-ins already flow through.
+//! Registering an image returns a tiny [`ExternalId`] handle
+//! (deduplicated by content hash) which [`BenchId::External`] then
+//! carries through everything built-ins already flow through.
 //!
 //! # Examples
 //!
 //! ```
-//! use secsim_workloads::{asm, register_program, BenchId, ProgramSource};
+//! use secsim_workloads::{asm, register_program, BenchId};
 //!
 //! let img = asm::assemble_named("li r1, 7\nhalt\n", "tiny").unwrap();
-//! let id = register_program(img);
-//! let bench = BenchId::External(id);
+//! let bench = BenchId::External(register_program(img));
 //! assert_eq!(bench.name(), "tiny");
-//! let src = ProgramSource::from(bench);
-//! let w = src.build(0); // seed is ignored: external bytes are fixed
+//! let w = bench.build(0); // seed is ignored: external bytes are fixed
 //! assert_eq!((w.name, w.entry), ("tiny", 0x1000));
 //! ```
 
 use crate::asm;
-use crate::builder::Workload;
 use crate::prog::{ProgError, ProgramImage};
 use crate::spec::BenchId;
 use std::fmt;
@@ -109,45 +101,12 @@ pub fn register_program(image: ProgramImage) -> ExternalId {
     ExternalId { index: (reg.len() - 1) as u32, hash }
 }
 
-/// Where a program comes from: the single way programs enter
-/// `SimSession` and the sweep machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProgramSource {
-    /// One of the 18 built-in SPEC-like kernels.
-    Builtin(BenchId),
-    /// The deterministic fuzz generator (program varies with seed).
-    Fuzz,
-    /// A registered external image (assembled `.sasm` or loaded
-    /// `.sprog`).
-    External(ExternalId),
-}
-
-impl ProgramSource {
-    /// The equivalent [`BenchId`] (every source has one, so existing
-    /// grid/cache plumbing works unchanged).
-    pub fn bench_id(self) -> BenchId {
-        match self {
-            ProgramSource::Builtin(b) => b,
-            ProgramSource::Fuzz => BenchId::Fuzz,
-            ProgramSource::External(e) => BenchId::External(e),
-        }
-    }
-
-    /// Program name (canonical bench name or registered external name).
-    pub fn name(self) -> &'static str {
-        self.bench_id().name()
-    }
-
-    /// Builds the workload deterministically in `seed` (external images
-    /// ignore the seed — their bytes are fixed).
-    pub fn build(self, seed: u64) -> Workload {
-        self.bench_id().build(seed)
-    }
-
+impl BenchId {
     /// Parses a CLI argument: a benchmark name (`mcf`, `fuzz`, …), a
     /// `.sasm` source path (assembled on the spot), or a `.sprog`
-    /// image path (loaded and verified).
-    pub fn from_arg(arg: &str) -> Result<ProgramSource, SourceError> {
+    /// image path (loaded and verified). Files are registered and come
+    /// back as [`BenchId::External`].
+    pub fn from_arg(arg: &str) -> Result<BenchId, SourceError> {
         let path = Path::new(arg);
         match path.extension().and_then(|e| e.to_str()) {
             Some("sasm") => {
@@ -156,46 +115,21 @@ impl ProgramSource {
                 let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("program");
                 let img = asm::assemble_named(&text, stem)
                     .map_err(|d| SourceError::Asm { path: arg.to_string(), diag: d })?;
-                Ok(ProgramSource::External(register_program(img)))
+                Ok(BenchId::External(register_program(img)))
             }
             Some("sprog") => {
                 let bytes = std::fs::read(path)
                     .map_err(|e| SourceError::Io { path: arg.to_string(), why: e.to_string() })?;
                 let img = ProgramImage::from_bytes(&bytes)
                     .map_err(|e| SourceError::Prog { path: arg.to_string(), err: e })?;
-                Ok(ProgramSource::External(register_program(img)))
+                Ok(BenchId::External(register_program(img)))
             }
-            _ => arg
-                .parse::<BenchId>()
-                .map(ProgramSource::from)
-                .map_err(|_| SourceError::UnknownBench(arg.to_string())),
+            _ => arg.parse().map_err(|_| SourceError::UnknownBench(arg.to_string())),
         }
     }
 }
 
-impl From<BenchId> for ProgramSource {
-    fn from(b: BenchId) -> Self {
-        match b {
-            BenchId::Fuzz => ProgramSource::Fuzz,
-            BenchId::External(e) => ProgramSource::External(e),
-            other => ProgramSource::Builtin(other),
-        }
-    }
-}
-
-impl From<ExternalId> for ProgramSource {
-    fn from(e: ExternalId) -> Self {
-        ProgramSource::External(e)
-    }
-}
-
-impl fmt::Display for ProgramSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Error resolving a [`ProgramSource`] from a CLI argument.
+/// Error resolving a [`BenchId`] from a CLI argument.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SourceError {
     /// File could not be read.
@@ -255,42 +189,21 @@ mod tests {
     }
 
     #[test]
-    fn sources_normalize_through_bench_id() {
-        assert_eq!(ProgramSource::from(BenchId::Mcf), ProgramSource::Builtin(BenchId::Mcf));
-        assert_eq!(ProgramSource::from(BenchId::Fuzz), ProgramSource::Fuzz);
-        let id = register_program(asm::assemble_named("halt\n", "norm").unwrap());
-        let src = ProgramSource::from(BenchId::External(id));
-        assert_eq!(src, ProgramSource::External(id));
-        assert_eq!(src.bench_id(), BenchId::External(id));
-        assert_eq!(src.to_string(), "norm");
-    }
-
-    #[test]
     fn from_arg_dispatches_on_extension() {
-        assert_eq!(ProgramSource::from_arg("mcf"), Ok(ProgramSource::Builtin(BenchId::Mcf)));
-        assert_eq!(ProgramSource::from_arg("fuzz"), Ok(ProgramSource::Fuzz));
-        assert!(matches!(
-            ProgramSource::from_arg("nosuch"),
-            Err(SourceError::UnknownBench(_))
-        ));
-        assert!(matches!(
-            ProgramSource::from_arg("/nonexistent/x.sasm"),
-            Err(SourceError::Io { .. })
-        ));
+        assert_eq!(BenchId::from_arg("mcf"), Ok(BenchId::Mcf));
+        assert_eq!(BenchId::from_arg("fuzz"), Ok(BenchId::Fuzz));
+        assert!(matches!(BenchId::from_arg("nosuch"), Err(SourceError::UnknownBench(_))));
+        assert!(matches!(BenchId::from_arg("/nonexistent/x.sasm"), Err(SourceError::Io { .. })));
         let dir = std::env::temp_dir().join("secsim-source-test");
         std::fs::create_dir_all(&dir).unwrap();
         let sasm = dir.join("victim.sasm");
         std::fs::write(&sasm, "li r1, 42\nhalt\n").unwrap();
-        let src = ProgramSource::from_arg(sasm.to_str().unwrap()).unwrap();
-        assert_eq!(src.name(), "victim");
+        let bench = BenchId::from_arg(sasm.to_str().unwrap()).unwrap();
+        assert_eq!(bench.name(), "victim");
+        let BenchId::External(e) = bench else { unreachable!("sasm parses to external") };
         let sprog = dir.join("victim.sprog");
-        match src {
-            ProgramSource::External(e) => {
-                std::fs::write(&sprog, e.image().to_bytes()).unwrap()
-            }
-            _ => unreachable!("sasm parses to external"),
-        }
-        let reloaded = ProgramSource::from_arg(sprog.to_str().unwrap()).unwrap();
-        assert_eq!(reloaded, src, "same bytes dedup to the same id");
+        std::fs::write(&sprog, e.image().to_bytes()).unwrap();
+        let reloaded = BenchId::from_arg(sprog.to_str().unwrap()).unwrap();
+        assert_eq!(reloaded, bench, "same bytes dedup to the same id");
     }
 }

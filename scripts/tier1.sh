@@ -27,6 +27,14 @@ stage "build (release, offline, Cargo.lock as committed)"
 cargo build --release --workspace --locked
 
 stage "test (workspace, offline)"
+# A test file behind a cargo feature compiles to nothing unless a build
+# turns that feature on, and none here does: refuse every such file.
+gated=$(grep -rlE '^#!\[cfg\(feature' crates/*/tests tests || true)
+if [ -n "$gated" ]; then
+    echo "FAIL: test files behind a cargo feature no build enables:"
+    echo "$gated"
+    exit 1
+fi
 cargo test --workspace -q
 
 stage "lint (clippy, warnings denied)"

@@ -12,7 +12,7 @@ use secsim::attack::{run_exploit, Exploit};
 use secsim::core::{Policy, SecureConfig};
 use secsim::cpu::{CpuConfig, SimConfig, SimOutcome, SimReport, SimSession, TraceConfig};
 use secsim::mem::MemSystemConfig;
-use secsim::workloads::{assemble_named, register_program, BenchId, ProgramSource};
+use secsim::workloads::{assemble_named, register_program, BenchId};
 use std::process::ExitCode;
 
 fn parse_policy(name: &str) -> Option<Policy> {
@@ -117,9 +117,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let bench: BenchId = match (args.get("bench"), args.get("program")) {
         (Some(_), Some(_)) => return Err("run: --bench and --program are exclusive".into()),
         (Some(name), None) => name.parse().map_err(|e| format!("{e} (try `secsim list`)"))?,
-        (None, Some(path)) => ProgramSource::from_arg(path)
-            .map_err(|e| format!("--program {path}: {e}"))?
-            .bench_id(),
+        (None, Some(path)) => {
+            BenchId::from_arg(path).map_err(|e| format!("--program {path}: {e}"))?
+        }
         (None, None) => return Err("run: --bench <name> or --program <file> is required".into()),
     };
     let mut w = bench.build(args.num("seed", 2006)?);
@@ -263,14 +263,10 @@ fn cmd_asm(args: &Args) -> Result<(), String> {
     }
     let policy_name = args.get("policy").unwrap_or("commit");
     let policy = parse_policy(policy_name).ok_or_else(|| format!("unknown policy `{policy_name}`"))?;
-    let src = ProgramSource::External(register_program(image));
-    let w = src.build(args.num("seed", 2006)?);
+    let mut w = BenchId::External(register_program(image)).build(args.num("seed", 2006)?);
     let mut cfg = SimConfig::paper_256k(policy).with_max_insts(args.num("insts", 10_000_000)?);
     cfg.secure = cfg.secure.with_protected_region(w.data_base, w.data_bytes);
-    let out = SimSession::new(&cfg)
-        .program(src)
-        .trace_bus(args.flag("trace"))
-        .run_program();
+    let out = SimSession::new(&cfg).trace_bus(args.flag("trace")).run(&mut w.mem, w.entry);
     let r = out.into_run().report;
     print_report(&r, args.flag("verbose"));
     if args.flag("trace") {
