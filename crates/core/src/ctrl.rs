@@ -15,7 +15,7 @@
 //!    [`AuthQueue`] request; `auth_ready` is its completion broadcast.
 
 use crate::obfuscate::{ObfConfig, Obfuscator};
-use crate::queue::{AuthId, AuthQueue, AuthQueueConfig};
+use crate::queue::{AuthQueue, AuthQueueConfig};
 use crate::tree::{TreeConfig, TreeTiming};
 use secsim_crypto::{CryptoLatency, EncryptionMode, MacScheme};
 use secsim_mem::{
@@ -236,15 +236,10 @@ impl SecureMemCtrl {
             t.done
         }
     }
+}
 
-    /// Schedules everything a fill does *before* touching the
-    /// authentication queue: obfuscation lookup, counter resolution, the
-    /// bus transfer, decryption overlap, and the tree walk. The returned
-    /// record carries the queue request to enqueue (when the controller
-    /// authenticates), so [`fill`](FillEngine::fill) enqueues it
-    /// directly and [`fill_batch`](FillEngine::fill_batch) drains a
-    /// whole tick's worth through one queue pass.
-    fn schedule_fill(&mut self, req: FillRequest, chan: &mut Channel) -> ScheduledFill {
+impl FillEngine for SecureMemCtrl {
+    fn fill(&mut self, req: FillRequest, chan: &mut Channel) -> FillResponse {
         // 1. Address obfuscation lookup.
         let (ext_addr, addr_ready) = match self.obf.as_mut() {
             Some(obf) => obf.lookup(req.line_addr, req.now, chan),
@@ -295,10 +290,9 @@ impl SecureMemCtrl {
             EncryptionMode::Cbc => self.cfg.crypto.cbc_decrypt_ready(t.done, 0),
         };
 
-        // 5. Authentication. The tree walk, serial-MAC surcharge, and
-        // one-shot injected fault are consumed here (in request order);
-        // only the queue enqueue itself is deferred to the caller.
-        let auth = if self.cfg.authenticate {
+        // 5. Authentication: the tree walk, serial-MAC surcharge and
+        // one-shot injected fault, then the in-order queue request.
+        let (auth_ready, auth_id) = if self.cfg.authenticate {
             let (input_ready, tree_extra) = match self.tree.as_mut() {
                 Some(tree) => {
                     let w = tree.walk(req.line_addr, t.done, chan);
@@ -322,112 +316,22 @@ impl SecureMemCtrl {
             if fault_extra > 0 {
                 self.injected_mac_faults += 1;
             }
-            Some((
+            let id = self.queue.request_arrived(
                 decrypt_ready,
                 input_ready + self.cfg.lazy_delay,
                 tree_extra + mac_extra + fault_extra,
-            ))
+            );
+            self.auth_requests += 1;
+            (self.queue.done_time(id), id.0)
         } else {
-            None
-        };
-        ScheduledFill {
-            data_ready: t.first_ready,
-            decrypt_ready,
-            bus_granted: t.granted,
-            auth,
-        }
-    }
-
-    /// Enqueues a scheduled fill's authentication request (if any) and
-    /// materializes the response.
-    fn respond(&mut self, s: ScheduledFill) -> FillResponse {
-        let (auth_ready, auth_id) = match s.auth {
-            None => (0, 0),
-            Some((arrived, input_ready, extra)) => {
-                let id = self.queue.request_arrived(arrived, input_ready, extra);
-                self.auth_requests += 1;
-                (self.queue.done_time(id), id.0)
-            }
+            (0, 0)
         };
         FillResponse {
-            data_ready: s.data_ready,
-            decrypt_ready: s.decrypt_ready,
+            data_ready: t.first_ready,
+            decrypt_ready,
             auth_ready,
             auth_id,
-            bus_granted: s.bus_granted,
-        }
-    }
-}
-
-/// A fill scheduled through the obfuscation/bus/crypto stages but not
-/// yet enqueued on the authentication queue.
-#[derive(Debug, Clone, Copy)]
-struct ScheduledFill {
-    data_ready: u64,
-    decrypt_ready: u64,
-    bus_granted: u64,
-    /// `(arrived, input_ready, extra_latency)` for
-    /// [`AuthQueue::request_arrived`], present iff the controller
-    /// authenticates.
-    auth: Option<(u64, u64, u64)>,
-}
-
-impl FillEngine for SecureMemCtrl {
-    fn fill(&mut self, req: FillRequest, chan: &mut Channel) -> FillResponse {
-        let s = self.schedule_fill(req, chan);
-        self.respond(s)
-    }
-
-    /// Batched fill: schedules every request through the bus/crypto
-    /// stages, then drains all authentication enqueues through the queue
-    /// in a single pass ([`AuthQueue::request_arrived_batch`]). Requests
-    /// chain exactly like repeated scalar fills — each subsequent
-    /// request starts no earlier than the previous line's `data_ready` —
-    /// so the batch is timing-identical to the scalar path.
-    fn fill_batch(&mut self, reqs: &[FillRequest], resps: &mut [FillResponse], chan: &mut Channel) {
-        const INLINE: usize = 8;
-        debug_assert_eq!(reqs.len(), resps.len());
-        if reqs.len() > INLINE {
-            // Oversized batches chain through the scalar path.
-            let mut prev_ready = 0;
-            for (req, slot) in reqs.iter().zip(resps.iter_mut()) {
-                let mut r = *req;
-                r.now = r.now.max(prev_ready);
-                *slot = self.fill(r, chan);
-                prev_ready = slot.data_ready;
-            }
-            return;
-        }
-        let mut auth = [(0u64, 0u64, 0u64); INLINE];
-        let mut n_auth = 0usize;
-        let mut prev_ready = 0u64;
-        for (req, slot) in reqs.iter().zip(resps.iter_mut()) {
-            let mut r = *req;
-            r.now = r.now.max(prev_ready);
-            let s = self.schedule_fill(r, chan);
-            prev_ready = s.data_ready;
-            *slot = FillResponse {
-                data_ready: s.data_ready,
-                decrypt_ready: s.decrypt_ready,
-                auth_ready: 0,
-                auth_id: 0,
-                bus_granted: s.bus_granted,
-            };
-            if let Some(triple) = s.auth {
-                auth[n_auth] = triple;
-                n_auth += 1;
-            }
-        }
-        if n_auth > 0 {
-            // `authenticate` is a config constant: either every request
-            // carried an auth triple or none did, so ids line up 1:1.
-            let first = self.queue.request_arrived_batch(&auth[..n_auth]);
-            self.auth_requests += n_auth as u64;
-            for (i, slot) in resps.iter_mut().enumerate() {
-                let id = AuthId(first.0 + i as u64);
-                slot.auth_id = id.0;
-                slot.auth_ready = self.queue.done_time(id);
-            }
+            bus_granted: t.granted,
         }
     }
 
@@ -470,7 +374,7 @@ impl FillEngine for SecureMemCtrl {
 mod tests {
     use super::*;
     use crate::queue::AuthId;
-    use secsim_mem::DramConfig;
+    use secsim_mem::{DramConfig, MemAccessResult, MemSystem, MemSystemConfig};
 
     fn chan() -> Channel {
         Channel::new(DramConfig::paper_reference())
@@ -575,58 +479,114 @@ mod tests {
         assert_eq!(ctrl.queue().last_request(), AuthId(2));
     }
 
-    #[test]
-    fn fill_batch_matches_sequential_fills_exactly() {
-        let cfgs = [
-            CtrlConfig::paper_reference(),
-            CtrlConfig::baseline(),
-            CtrlConfig::with_mac(MacScheme::CbcMacAes),
-            CtrlConfig {
-                tree: Some(TreeConfig::paper_reference(0, 1 << 16)),
-                ..CtrlConfig::paper_reference()
-            },
-        ];
-        for cfg in cfgs {
-            let mut scalar = SecureMemCtrl::new(cfg);
-            let mut batched = SecureMemCtrl::new(cfg);
-            let mut ch_s = chan();
-            let mut ch_b = chan();
-            // Injected one-shot delay must land on the same (first)
-            // request either way.
-            scalar.inject_mac_delay(40);
-            batched.inject_mac_delay(40);
-            let reqs = [fill_req(0x8000, 100), fill_req(0x8040, 100)];
-            // The scalar demand-then-prefetch chain: the second fill
-            // starts at the first line's data_ready.
-            let a = scalar.fill(reqs[0], &mut ch_s);
-            let b = scalar.fill(FillRequest { now: a.data_ready, ..reqs[1] }, &mut ch_s);
-            let mut resps = [FillResponse::immediate(0); 2];
-            batched.fill_batch(&reqs, &mut resps, &mut ch_b);
-            assert_eq!(resps[0], a, "demand response diverged under {cfg:?}");
-            assert_eq!(resps[1], b, "prefetch response diverged under {cfg:?}");
-            assert_eq!(scalar.queue().last_request(), batched.queue().last_request());
-            assert_eq!(scalar.queue().drain_time(), batched.queue().drain_time());
+    /// A demand miss at 0x70_0000 on a hierarchy over `cfg` with
+    /// next-line prefetch on and a 40-cycle MAC delay armed for the
+    /// demand's verification. With `dirty_victim`, the prefetched line's
+    /// L2 set (stride 64 KiB) first holds four lines, the oldest dirtied
+    /// by a store that a load 16 KiB further evicts from the
+    /// direct-mapped L1, so the prefetch evicts a dirty line. Returns
+    /// the demand's result, the prefetched line's result read back at
+    /// the demand's `ready`, and the queue's LastRequest register and
+    /// drain time.
+    fn prefetch_case(
+        cfg: CtrlConfig,
+        dirty_victim: bool,
+    ) -> (MemAccessResult, MemAccessResult, AuthId, u64) {
+        let (demand, next) = (0x70_0000, 0x70_0040);
+        let mut mcfg = MemSystemConfig::paper_256k();
+        mcfg.prefetch_next_line = true;
+        let mut ms = MemSystem::new(mcfg, SecureMemCtrl::new(cfg));
+        let mut now = 100;
+        if dirty_victim {
+            let warm = [
+                (next + 0x1_0000, AccessKind::Store),
+                (next + 0x1_4000, AccessKind::Load),
+                (next + 0x2_0000, AccessKind::Load),
+                (next + 0x3_0000, AccessKind::Load),
+                (next + 0x4_0000, AccessKind::Load),
+            ];
+            for (addr, kind) in warm {
+                now = ms.access(addr, kind, now, 0).ready + 1;
+            }
         }
+        let prefetches = ms.counters().get("l2.prefetch");
+        ms.engine_mut().inject_mac_delay(40);
+        ms.channel_mut().trace_mut().enable();
+        let d = ms.access(demand, AccessKind::Load, now, 0);
+        assert_eq!(ms.counters().get("l2.prefetch"), prefetches + 1);
+        // The dirty victim's writeback lands between the two fills.
+        let bus: Vec<_> = ms
+            .channel()
+            .trace()
+            .events()
+            .iter()
+            .filter(|e| e.kind != BusKind::TreeFetch)
+            .map(|e| (e.kind, e.addr))
+            .collect();
+        let mut want = vec![(BusKind::DataFetch, demand), (BusKind::DataFetch, next)];
+        if dirty_victim {
+            want.insert(1, (BusKind::Writeback, next + 0x1_0000));
+        }
+        assert_eq!(bus, want);
+        let p = ms.access(next, AccessKind::Load, d.ready, 0);
+        assert!(!p.l2_miss, "the prefetched line is resident");
+        (d, p, ms.engine().queue().last_request(), ms.engine().queue().drain_time())
     }
 
+    /// Demand and prefetch fill one after the other, the prefetch
+    /// starting when the demand line's data is home (one started at the
+    /// miss cycle reads other values), under the reference controller,
+    /// the decrypt-only baseline, CBC-MAC and the hash tree, and once
+    /// with a dirty prefetch victim.
     #[test]
-    fn oversized_fill_batch_chains_scalar_path() {
-        let mut scalar = SecureMemCtrl::new(CtrlConfig::paper_reference());
-        let mut batched = SecureMemCtrl::new(CtrlConfig::paper_reference());
-        let mut ch_s = chan();
-        let mut ch_b = chan();
-        let reqs: Vec<FillRequest> =
-            (0..10u32).map(|i| fill_req(0x1_0000 + i * 64, 50)).collect();
-        let mut prev = 0;
-        let mut want = Vec::new();
-        for r in &reqs {
-            let resp = scalar.fill(FillRequest { now: r.now.max(prev), ..*r }, &mut ch_s);
-            prev = resp.data_ready;
-            want.push(resp);
+    fn secure_prefetch_fills_after_the_demand_line() {
+        let demand = |ready, auth_ready, auth_id, bus_granted| MemAccessResult {
+            ready,
+            auth_ready,
+            auth_id,
+            l2_miss: true,
+            l1_miss: true,
+            bus_granted,
+        };
+        let l2_hit = |ready, auth_ready, auth_id| MemAccessResult {
+            ready,
+            auth_ready,
+            auth_id,
+            l2_miss: false,
+            l1_miss: true,
+            bus_granted: 0,
+        };
+        let tree = CtrlConfig {
+            tree: Some(TreeConfig::paper_reference(0x70_0000, 1 << 16)),
+            ..CtrlConfig::paper_reference()
+        };
+        let cases = [
+            (CtrlConfig::paper_reference(), false, demand(270, 424, 1, 135), l2_hit(370, 484, 2)),
+            (CtrlConfig::baseline(), false, demand(270, 0, 0, 135), l2_hit(370, 0, 0)),
+            (
+                CtrlConfig::with_mac(MacScheme::CbcMacAes),
+                false,
+                demand(270, 670, 1, 135),
+                l2_hit(370, 730, 2),
+            ),
+            (tree, false, demand(270, 1143, 1, 135), l2_hit(1030, 1144, 2)),
+            (
+                CtrlConfig::paper_reference(),
+                true,
+                demand(1345, 1499, 11, 1175),
+                l2_hit(1575, 1689, 12),
+            ),
+        ];
+        for (cfg, dirty, d, p) in cases {
+            // The prefetch is the newest request: the queue drains when
+            // it verifies.
+            let (last, drain) = (AuthId(p.auth_id), p.auth_ready);
+            assert_eq!(
+                prefetch_case(cfg, dirty),
+                (d, p, last, drain),
+                "{cfg:?}, dirty victim {dirty}"
+            );
         }
-        let mut got = vec![FillResponse::immediate(0); reqs.len()];
-        batched.fill_batch(&reqs, &mut got, &mut ch_b);
-        assert_eq!(got, want);
     }
 
     #[test]

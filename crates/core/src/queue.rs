@@ -109,55 +109,23 @@ impl AuthQueue {
     }
 
     /// Enqueues a verification request for data arriving at
-    /// `data_ready`; `extra_latency` adds scheme-specific work (hash-tree
-    /// levels). Returns the request id — afterwards also readable from
-    /// the *LastRequest register* ([`AuthQueue::last_request`]).
-    ///
+    /// `data_ready`: shorthand for [`AuthQueue::request_arrived`] with
+    /// both cycles equal. `extra_latency` adds scheme-specific work
+    /// (hash-tree levels). Returns the request id — afterwards also
+    /// readable from the *LastRequest register*
+    /// ([`AuthQueue::last_request`]).
     pub fn request(&mut self, data_ready: u64, extra_latency: u64) -> AuthId {
         self.request_arrived(data_ready, data_ready, extra_latency)
     }
 
-    /// Like [`AuthQueue::request`], distinguishing the cycle the block
-    /// became *consumable* (`arrived` — critical word decrypted, which
-    /// is when dependents can start using it and thus when the
+    /// Enqueues a verification request, distinguishing the cycle the
+    /// block became *consumable* (`arrived` — critical word decrypted,
+    /// which is when dependents can start using it and thus when the
     /// *authen-then-fetch* watermark must start counting it) from the
     /// cycle the full line + MAC is home (`data_ready` — when hashing
-    /// can start).
+    /// can start). The secure memory controller makes one such request
+    /// per external line fill.
     pub fn request_arrived(&mut self, arrived: u64, data_ready: u64, extra_latency: u64) -> AuthId {
-        self.enqueue(arrived, data_ready, extra_latency)
-    }
-
-    /// Enqueues a whole engine tick's worth of requests in one pass.
-    ///
-    /// Each `(arrived, data_ready, extra_latency)` entry is processed
-    /// exactly as a [`AuthQueue::request_arrived`] call would, in slice
-    /// order, but the queue reserves storage once and keeps the
-    /// scheduling state in registers across the batch. Returns the id of
-    /// the **first** request; ids are sequential, so entry `i` got
-    /// `AuthId(first.0 + i)`. Returns [`AuthId::NONE`] for an empty
-    /// batch.
-    ///
-    /// Timing is identical to the scalar calls by construction (both
-    /// paths share one enqueue routine) — the equivalence the batched
-    /// MAC tests pin.
-    pub fn request_arrived_batch(&mut self, reqs: &[(u64, u64, u64)]) -> AuthId {
-        if reqs.is_empty() {
-            return AuthId::NONE;
-        }
-        self.done_times.reserve(reqs.len());
-        self.start_times.reserve(reqs.len());
-        self.arrive_times.reserve(reqs.len());
-        let first = AuthId(self.done_times.len() as u64 + 1);
-        for &(arrived, data_ready, extra_latency) in reqs {
-            self.enqueue(arrived, data_ready, extra_latency);
-        }
-        first
-    }
-
-    /// The single enqueue routine behind both the scalar and batched
-    /// entry points.
-    #[inline]
-    fn enqueue(&mut self, arrived: u64, data_ready: u64, extra_latency: u64) -> AuthId {
         let n = self.done_times.len();
         // Engine availability: in-order, single engine with the
         // configured initiation interval.
@@ -399,38 +367,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_exactly() {
-        // Mixed arrivals, extras, and back-pressure: the batched enqueue
-        // must produce byte-identical queue state to scalar calls.
-        let reqs: Vec<(u64, u64, u64)> =
-            vec![(100, 120, 0), (90, 90, 300), (500, 510, 0), (50, 80, 7), (505, 505, 0)];
-        let mut scalar = q(2, 10);
-        let scalar_ids: Vec<AuthId> =
-            reqs.iter().map(|&(a, d, e)| scalar.request_arrived(a, d, e)).collect();
-        let mut batched = q(2, 10);
-        let first = batched.request_arrived_batch(&reqs);
-        assert_eq!(first, scalar_ids[0]);
-        for (i, id) in scalar_ids.iter().enumerate() {
-            assert_eq!(AuthId(first.0 + i as u64), *id);
-            assert_eq!(batched.done_time(*id), scalar.done_time(*id));
-        }
-        assert_eq!(batched.drain_time(), scalar.drain_time());
-        assert_eq!(batched.last_request(), scalar.last_request());
-        for t in [0, 80, 100, 505, 1000] {
-            assert_eq!(batched.watermark_before(t), scalar.watermark_before(t));
-        }
-        assert!(batched.spans().eq(scalar.spans()));
-        assert_eq!(
-            batched.counters().get("queue_wait_cycles"),
-            scalar.counters().get("queue_wait_cycles")
-        );
-    }
-
-    #[test]
-    fn empty_batch_is_noop() {
-        let mut queue = q(4, 10);
-        assert_eq!(queue.request_arrived_batch(&[]), AuthId::NONE);
-        assert!(queue.is_empty());
+    fn request_arrived_counts_the_block_from_its_arrival() {
+        // Verification starts once the whole line is home, but the
+        // watermark counts the block from its arrival; an arrival after
+        // `data_ready` clamps down to it.
+        let mut q = q(8, 10);
+        let a = q.request_arrived(90, 120, 0);
+        assert_eq!(q.done_time(a), 130);
+        assert_eq!(q.watermark_before(89), 0);
+        assert_eq!(q.watermark_before(90), 130, "counted from arrival, not data_ready");
+        let b = q.request_arrived(600, 500, 0);
+        assert_eq!(q.done_time(b), 510);
+        assert_eq!(q.watermark_before(499), 130);
+        assert_eq!(q.watermark_before(500), 510, "a late arrival clamps to data_ready");
     }
 
     #[test]

@@ -76,27 +76,9 @@ impl FillResponse {
 pub trait FillEngine {
     /// Schedules the line fetch (plus any metadata traffic: counters,
     /// MACs, tree nodes, remap entries) and returns its timing.
+    /// [`MemSystem::access`] calls it once per L2 demand miss, and once
+    /// more for a next-line prefetch.
     fn fill(&mut self, req: FillRequest, chan: &mut Channel) -> FillResponse;
-
-    /// Schedules several fills back-to-back, landing the responses in
-    /// `resps` (same length, same order). Each subsequent request starts
-    /// no earlier than the previous response's `data_ready` — exactly
-    /// the chaining a sequential demand-then-prefetch pair exhibits — so
-    /// this default is timing-identical to repeated [`fill`] calls.
-    /// Engines override it to amortize per-request work (e.g. one
-    /// authentication-queue pass for the whole batch).
-    ///
-    /// [`fill`]: FillEngine::fill
-    fn fill_batch(&mut self, reqs: &[FillRequest], resps: &mut [FillResponse], chan: &mut Channel) {
-        debug_assert_eq!(reqs.len(), resps.len());
-        let mut prev_ready = 0;
-        for (req, slot) in reqs.iter().zip(resps.iter_mut()) {
-            let mut r = *req;
-            r.now = r.now.max(prev_ready);
-            *slot = self.fill(r, chan);
-            prev_ready = slot.data_ready;
-        }
-    }
 
     /// Schedules a dirty-line writeback (plus metadata updates).
     fn writeback(&mut self, line_addr: u32, bytes: u32, now: u64, chan: &mut Channel);
@@ -321,61 +303,29 @@ impl<F: FillEngine> MemSystem<F> {
             bus_not_before,
         };
 
-        // Next-line prefetch decision, hoisted ahead of the demand fill
-        // so both fills can drain through the engine in one batch. The
-        // L2 allocation for the prefetched line touches no channel
-        // state, so hoisting it preserves bus ordering exactly; only a
-        // dirty prefetch victim — whose writeback must hit the bus
-        // *between* the two fills — forces the sequential path.
-        let mut prefetch = None;
+        let resp = self.engine.fill(demand_req, &mut self.chan);
+        self.line_meta[l2_res.way] = resp;
+
+        // Next-line prefetch: allocate the line in L2, write back its
+        // dirty victim, then fill it starting when the demand line's data
+        // is home.
         if self.cfg.prefetch_next_line {
             let next = l2_line.wrapping_add(line_bytes);
             if !self.l2.probe(next) {
                 let pf = self.l2.access(next, false);
-                let dirty_victim = pf.victim.filter(|v| v.dirty).map(|v| v.line_addr);
+                if let Some(v) = pf.victim.filter(|v| v.dirty) {
+                    self.engine.writeback(v.line_addr, line_bytes, miss_time, &mut self.chan);
+                }
                 let pf_req = FillRequest {
                     line_addr: next,
                     demand_addr: next,
-                    bytes: line_bytes,
-                    kind,
-                    now: miss_time,
-                    bus_not_before,
+                    now: resp.data_ready,
+                    ..demand_req
                 };
-                prefetch = Some((pf_req, pf.way, dirty_victim));
+                self.line_meta[pf.way] = self.engine.fill(pf_req, &mut self.chan);
+                self.l2_prefetches += 1;
             }
         }
-
-        let resp = match prefetch {
-            // Prefetch with a dirty victim: demand fill, victim
-            // writeback, prefetch fill — the exact scalar order.
-            Some((pf_req, pf_way, Some(victim))) => {
-                let resp = self.engine.fill(demand_req, &mut self.chan);
-                self.engine.writeback(victim, line_bytes, miss_time, &mut self.chan);
-                let presp = self
-                    .engine
-                    .fill(FillRequest { now: resp.data_ready, ..pf_req }, &mut self.chan);
-                self.line_meta[pf_way] = presp;
-                self.l2_prefetches += 1;
-                resp
-            }
-            // Clean prefetch: both fills drain through the engine in one
-            // batch (chained so the prefetch starts at the demand line's
-            // `data_ready`, like the sequential pair).
-            Some((pf_req, pf_way, None)) => {
-                let reqs = [demand_req, pf_req];
-                let mut resps = [FillResponse::immediate(0); 2];
-                self.engine.fill_batch(&reqs, &mut resps, &mut self.chan);
-                self.line_meta[pf_way] = resps[1];
-                self.l2_prefetches += 1;
-                resps[0]
-            }
-            None => {
-                let mut resps = [FillResponse::immediate(0)];
-                self.engine.fill_batch(&[demand_req], &mut resps, &mut self.chan);
-                resps[0]
-            }
-        };
-        self.line_meta[l2_res.way] = resp;
         MemAccessResult {
             ready: resp.decrypt_ready.max(miss_time),
             auth_ready: resp.auth_ready,

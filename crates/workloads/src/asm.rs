@@ -168,6 +168,8 @@ struct Assembler {
     data_refs: Vec<DataRef>,
     /// Index into `segments` currently being appended to.
     cur_seg: Option<usize>,
+    /// Lowest segment base and highest end of the data bytes so far.
+    data_span: Option<(u32, u64)>,
     in_data: bool,
 }
 
@@ -190,6 +192,7 @@ impl Assembler {
             segments: Vec::new(),
             data_refs: Vec::new(),
             cur_seg: None,
+            data_span: None,
             in_data: false,
         }
     }
@@ -211,12 +214,22 @@ impl Assembler {
 
     /// The bytes of the current data segment (opened at
     /// [`DEFAULT_DATA_BASE`] if none is), about to grow by `n`; refused
-    /// at `tok` if they would run past the 32-bit address space.
+    /// at `tok`, before anything is allocated, if they would run past
+    /// the 32-bit address space or stretch the data past any footprint.
     fn grow(&mut self, n: u64, tok: &Tok) -> Result<&mut Vec<u8>, AsmDiag> {
         let cursor = self.data_cursor();
         let end = u64::from(cursor) + n;
         if end > u64::from(u32::MAX) {
             return Err(tok.err(format!("{n} bytes at {cursor:#x} {}", past_the_top(end))));
+        }
+        if n > 0 {
+            let addr = self.cur_seg.map_or(DEFAULT_DATA_BASE, |i| self.segments[i].addr);
+            let (lo, hi) =
+                self.data_span.map_or((addr, end), |(lo, hi)| (lo.min(addr), hi.max(end)));
+            if hi - u64::from(lo & !63) > MAX_FOOTPRINT {
+                return Err(tok.err(too_wide(lo & !63, hi)));
+            }
+            self.data_span = Some((lo, hi));
         }
         if self.cur_seg.is_none() {
             self.segments.push(Segment { addr: DEFAULT_DATA_BASE, bytes: Vec::new() });
@@ -262,6 +275,13 @@ impl Assembler {
 /// The tail of every "does not fit below 2^32" diagnostic.
 fn past_the_top(end: u64) -> String {
     format!("would end at {end:#x}, outside the 32-bit address space")
+}
+
+/// The largest footprint: the largest power of two a `u32` holds.
+const MAX_FOOTPRINT: u64 = 1 << 31;
+
+fn too_wide(data_base: u32, data_end: u64) -> String {
+    format!("data [{data_base:#x}, {data_end:#x}) spans more than any footprint (2^31 bytes)")
 }
 
 fn parse_int_body(body: &str) -> Option<i64> {
@@ -453,11 +473,10 @@ pub fn assemble_named(source: &str, name: &str) -> Result<ProgramImage, AsmDiag>
             }
             n
         }
-        None => (data_end - data_base).max(4096).checked_next_power_of_two().ok_or_else(|| {
-            image_err(format!(
-                "data [{data_base:#x}, {data_end:#x}) spans more than any footprint (2^31 bytes)"
-            ))
-        })?,
+        None => (data_end - data_base)
+            .max(4096)
+            .checked_next_power_of_two()
+            .ok_or_else(|| image_err(too_wide(data_base, data_end.into())))?,
     };
 
     let img = ProgramImage {
@@ -1125,8 +1144,14 @@ mod tests {
             ),
             (
                 ".data 0x10\n.word 1\n.data 0x90000010\n.word 2\n",
-                (4, 1),
+                (4, 7),
                 "data [0x0, 0x90000014) spans more than any footprint (2^31 bytes)".to_string(),
+            ),
+            // Refused at the operand, before the 4 GiB fill is allocated.
+            (
+                ".data 0\n.zero 4294967295\n.text\nhalt\n",
+                (2, 7),
+                "data [0x0, 0xffffffff) spans more than any footprint (2^31 bytes)".to_string(),
             ),
             (
                 ".data 0xFFFFF000\n.word 1\n.text\nhalt\n",

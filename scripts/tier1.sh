@@ -69,6 +69,11 @@ stage "reproduction gate: every paper claim, from an empty results dir"
 # Fixed instruction budgets of its own; exits non-zero on any FAIL.
 SECSIM_RESULTS="$SMOKE_RESULTS/repro" ./target/release/verify_repro
 
+stage "results: regenerate every committed results/ file, byte for byte"
+# Five binaries, each into an empty results dir of its own; fails on any
+# differing, unwritten or uncommitted file.
+scripts/results_check.sh
+
 stage "asm smoke: assemble examples/*.sasm, diff vs golden .sprog, run baseline+commit"
 SECSIM_RESULTS="$SMOKE_RESULTS/asm" ./target/release/asm --smoke
 

@@ -263,7 +263,7 @@ fn cmd_asm(args: &Args) -> Result<(), String> {
     }
     let policy_name = args.get("policy").unwrap_or("commit");
     let policy = parse_policy(policy_name).ok_or_else(|| format!("unknown policy `{policy_name}`"))?;
-    let mut w = BenchId::External(register_program(image)).build(args.num("seed", 2006)?);
+    let mut w = BenchId::External(register_program(image)).build(2006);
     let mut cfg = SimConfig::paper_256k(policy).with_max_insts(args.num("insts", 10_000_000)?);
     cfg.secure = cfg.secure.with_protected_region(w.data_base, w.data_bytes);
     let out = SimSession::new(&cfg).trace_bus(args.flag("trace")).run(&mut w.mem, w.entry);
@@ -303,40 +303,53 @@ fn cmd_attack(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_list() {
+fn cmd_list(_: &Args) -> Result<(), String> {
     let names: Vec<&str> = BenchId::all().map(BenchId::name).collect();
     println!("benchmarks: {}", names.join(", "));
     println!(
         "policies:   baseline issue commit write fetch commit+fetch commit+obf"
     );
     println!("exploits:   {}", Exploit::ALL.map(|e| e.name()).join(", "));
+    Ok(())
 }
 
 const USAGE: &str = "usage:
-  secsim run   --bench <name> | --program <f.sasm|f.sprog> [--policy P] [--l2 256k|1m] [--insts N] [--ruu N] [--tree] [--trace] [--trace-out f.csv] [--chrome-trace f.json] [--verbose]
+  secsim run   --bench <name> | --program <f.sasm|f.sprog> [--policy P] [--l2 256k|1m] [--insts N] [--cycles N] [--seed N] [--ruu N] [--tree] [--trace] [--trace-out f.csv] [--chrome-trace f.json] [--verbose]
   secsim sweep --bench <name> [--insts N] [--seed N]
-  secsim asm   <file.sasm> [--out f.sprog] [--hex] [--policy P] [--insts N] [--trace]
+  secsim asm   <file.sasm> [--out f.sprog] [--hex] [--policy P] [--insts N] [--trace] [--verbose]
   secsim attack --exploit <name> [--policy P]
   secsim list";
+
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Each command with the flags it reads; any other flag is refused.
+const COMMANDS: [(&str, &str, Command); 5] = [
+    (
+        "run",
+        "bench program policy l2 insts cycles seed ruu tree trace trace-out chrome-trace verbose",
+        cmd_run,
+    ),
+    ("sweep", "bench insts seed", cmd_sweep),
+    ("asm", "out hex policy insts trace verbose", cmd_asm),
+    ("attack", "exploit policy", cmd_attack),
+    ("list", "", cmd_list),
+];
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(&raw);
-    let result = match args.positional.first().map(String::as_str) {
-        Some("run") => cmd_run(&args),
-        Some("sweep") => cmd_sweep(&args),
-        Some("asm") => cmd_asm(&args),
-        Some("attack") => cmd_attack(&args),
-        Some("list") => {
-            cmd_list();
-            Ok(())
-        }
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    let command = args.positional.first().map(String::as_str);
+    let Some(&(name, known, run)) = COMMANDS.iter().find(|(name, ..)| Some(*name) == command)
+    else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
     };
-    match result {
+    let unknown = args.map.iter().find(|(k, _)| !known.split_whitespace().any(|f| f == k));
+    if let Some((flag, _)) = unknown {
+        eprintln!("error: {name}: unknown flag `--{flag}`\n{USAGE}");
+        return ExitCode::from(2);
+    }
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");

@@ -44,3 +44,23 @@ fn asm_and_run_program_print_the_same_report() {
     assert!(asm[0].ends_with(" 2003"), "{asm:?}");
     assert!(asm[4].starts_with("out port 1 = 0x0 @ cycle "), "{asm:?}");
 }
+
+/// A flag the command does not read is refused by name, with the usage
+/// line, so a misspelt `--polcy issue` cannot run under the default
+/// policy and `asm` takes no `--seed` that nothing would use.
+#[test]
+fn unknown_flags_are_refused_by_name() {
+    let sasm = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/countdown.sasm");
+    let cases: [(&[&str], &str); 2] = [
+        (&["run", "--bench", "mcf", "--polcy", "issue", "--insts", "20000"], "--polcy"),
+        (&["asm", sasm, "--seed", "1"], "--seed"),
+    ];
+    for (args, flag) in cases {
+        let out =
+            Command::new(env!("CARGO_BIN_EXE_secsim")).args(args).output().expect("secsim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail, got: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: the usage line must follow, got: {stderr}");
+    }
+}
