@@ -183,6 +183,11 @@ impl SecureMemCtrl {
         &self.queue
     }
 
+    /// Mutable queue access (watermark horizon, span recording).
+    pub fn queue_mut(&mut self) -> &mut AuthQueue {
+        &mut self.queue
+    }
+
     /// Arms a one-shot MAC-verification fault: the next authentication
     /// request pays `extra` additional cycles on top of its normal
     /// latency. Pass [`MAC_DROP_DELAY`](crate::MAC_DROP_DELAY) to model
@@ -292,7 +297,7 @@ impl FillEngine for SecureMemCtrl {
 
         // 5. Authentication: the tree walk, serial-MAC surcharge and
         // one-shot injected fault, then the in-order queue request.
-        let (auth_ready, auth_id) = if self.cfg.authenticate {
+        let auth_ready = if self.cfg.authenticate {
             let (input_ready, tree_extra) = match self.tree.as_mut() {
                 Some(tree) => {
                     let w = tree.walk(req.line_addr, t.done, chan);
@@ -316,21 +321,19 @@ impl FillEngine for SecureMemCtrl {
             if fault_extra > 0 {
                 self.injected_mac_faults += 1;
             }
-            let id = self.queue.request_arrived(
+            self.auth_requests += 1;
+            self.queue.request_arrived(
                 decrypt_ready,
                 input_ready + self.cfg.lazy_delay,
                 tree_extra + mac_extra + fault_extra,
-            );
-            self.auth_requests += 1;
-            (self.queue.done_time(id), id.0)
+            )
         } else {
-            (0, 0)
+            0
         };
         FillResponse {
             data_ready: t.first_ready,
             decrypt_ready,
             auth_ready,
-            auth_id,
             bus_granted: t.granted,
         }
     }
@@ -373,7 +376,6 @@ impl FillEngine for SecureMemCtrl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::AuthId;
     use secsim_mem::{DramConfig, MemAccessResult, MemSystem, MemSystemConfig};
 
     fn chan() -> Channel {
@@ -393,7 +395,7 @@ mod tests {
         // HMAC starts when the full line is home; decrypt is ready at the
         // critical chunk. Gap ≥ hash latency.
         assert!(r.auth_ready >= r.decrypt_ready + 74);
-        assert!(r.auth_id > 0);
+        assert_eq!(r.auth_ready, ctrl.queue().drain_time(), "the newest request's done cycle");
     }
 
     #[test]
@@ -422,8 +424,7 @@ mod tests {
         let mut ch = chan();
         let r = ctrl.fill(fill_req(0x8000, 0), &mut ch);
         assert_eq!(r.auth_ready, 0);
-        assert_eq!(r.auth_id, 0);
-        assert!(ctrl.queue().is_empty());
+        assert_eq!(ctrl.queue().counters().get("requests"), 0);
     }
 
     #[test]
@@ -469,14 +470,14 @@ mod tests {
     }
 
     #[test]
-    fn queue_ids_are_monotone_across_fills() {
+    fn queue_requests_verify_in_order_across_fills() {
         let mut ctrl = SecureMemCtrl::new(CtrlConfig::paper_reference());
         let mut ch = chan();
         let a = ctrl.fill(fill_req(0x1000, 0), &mut ch);
         let b = ctrl.fill(fill_req(0x2000, 100), &mut ch);
-        assert!(b.auth_id > a.auth_id);
         assert!(b.auth_ready >= a.auth_ready);
-        assert_eq!(ctrl.queue().last_request(), AuthId(2));
+        assert_eq!(ctrl.queue().counters().get("requests"), 2);
+        assert_eq!(ctrl.queue().drain_time(), b.auth_ready);
     }
 
     /// A demand miss at 0x70_0000 on a hierarchy over `cfg` with
@@ -486,12 +487,12 @@ mod tests {
     /// by a store that a load 16 KiB further evicts from the
     /// direct-mapped L1, so the prefetch evicts a dirty line. Returns
     /// the demand's result, the prefetched line's result read back at
-    /// the demand's `ready`, and the queue's LastRequest register and
-    /// drain time.
+    /// the demand's `ready`, and the queue's request count and drain
+    /// time.
     fn prefetch_case(
         cfg: CtrlConfig,
         dirty_victim: bool,
-    ) -> (MemAccessResult, MemAccessResult, AuthId, u64) {
+    ) -> (MemAccessResult, MemAccessResult, u64, u64) {
         let (demand, next) = (0x70_0000, 0x70_0040);
         let mut mcfg = MemSystemConfig::paper_256k();
         mcfg.prefetch_next_line = true;
@@ -530,7 +531,8 @@ mod tests {
         assert_eq!(bus, want);
         let p = ms.access(next, AccessKind::Load, d.ready, 0);
         assert!(!p.l2_miss, "the prefetched line is resident");
-        (d, p, ms.engine().queue().last_request(), ms.engine().queue().drain_time())
+        let q = ms.engine().queue();
+        (d, p, q.counters().get("requests"), q.drain_time())
     }
 
     /// Demand and prefetch fill one after the other, the prefetch
@@ -540,18 +542,16 @@ mod tests {
     /// with a dirty prefetch victim.
     #[test]
     fn secure_prefetch_fills_after_the_demand_line() {
-        let demand = |ready, auth_ready, auth_id, bus_granted| MemAccessResult {
+        let demand = |ready, auth_ready, bus_granted| MemAccessResult {
             ready,
             auth_ready,
-            auth_id,
             l2_miss: true,
             l1_miss: true,
             bus_granted,
         };
-        let l2_hit = |ready, auth_ready, auth_id| MemAccessResult {
+        let l2_hit = |ready, auth_ready| MemAccessResult {
             ready,
             auth_ready,
-            auth_id,
             l2_miss: false,
             l1_miss: true,
             bus_granted: 0,
@@ -560,30 +560,27 @@ mod tests {
             tree: Some(TreeConfig::paper_reference(0x70_0000, 1 << 16)),
             ..CtrlConfig::paper_reference()
         };
+        // The last column counts the queue's requests: the demand and
+        // the prefetch, after the ten of the dirty-victim set-up.
         let cases = [
-            (CtrlConfig::paper_reference(), false, demand(270, 424, 1, 135), l2_hit(370, 484, 2)),
-            (CtrlConfig::baseline(), false, demand(270, 0, 0, 135), l2_hit(370, 0, 0)),
+            (CtrlConfig::paper_reference(), false, demand(270, 424, 135), l2_hit(370, 484), 2),
+            (CtrlConfig::baseline(), false, demand(270, 0, 135), l2_hit(370, 0), 0),
             (
                 CtrlConfig::with_mac(MacScheme::CbcMacAes),
                 false,
-                demand(270, 670, 1, 135),
-                l2_hit(370, 730, 2),
+                demand(270, 670, 135),
+                l2_hit(370, 730),
+                2,
             ),
-            (tree, false, demand(270, 1143, 1, 135), l2_hit(1030, 1144, 2)),
-            (
-                CtrlConfig::paper_reference(),
-                true,
-                demand(1345, 1499, 11, 1175),
-                l2_hit(1575, 1689, 12),
-            ),
+            (tree, false, demand(270, 1143, 135), l2_hit(1030, 1144), 2),
+            (CtrlConfig::paper_reference(), true, demand(1345, 1499, 1175), l2_hit(1575, 1689), 12),
         ];
-        for (cfg, dirty, d, p) in cases {
+        for (cfg, dirty, d, p, requests) in cases {
             // The prefetch is the newest request: the queue drains when
             // it verifies.
-            let (last, drain) = (AuthId(p.auth_id), p.auth_ready);
             assert_eq!(
                 prefetch_case(cfg, dirty),
-                (d, p, last, drain),
+                (d, p, requests, p.auth_ready),
                 "{cfg:?}, dirty victim {dirty}"
             );
         }

@@ -47,10 +47,11 @@
 //! use secsim_core::{AuthQueue, AuthQueueConfig};
 //!
 //! let mut q = AuthQueue::new(AuthQueueConfig::default());
-//! let a = q.request(100, 0); // line data ready at cycle 100
+//! let a = q.request(100, 0); // line data ready at cycle 100: done cycle
 //! let b = q.request(120, 0);
-//! assert!(q.done_time(b) >= q.done_time(a)); // in-order verification
-//! assert_eq!(q.last_request(), b);           // LastRequest register
+//! assert!(b >= a);                        // in-order verification
+//! assert_eq!(q.drain_time(), b);          // LastRequest register's tag
+//! assert_eq!(q.watermark_before(119), a); // authen-then-fetch watermark
 //! ```
 
 mod config;
@@ -74,6 +75,6 @@ pub use faults::{
 pub use merkle::MerkleTree;
 pub use obfuscate::{ObfConfig, Obfuscator, REMAP_BASE};
 pub use policy::{FetchGateVariant, Policy};
-pub use queue::{AuthId, AuthQueue, AuthQueueConfig};
+pub use queue::{AuthQueue, AuthQueueConfig};
 pub use security::{properties, SecurityProperties};
 pub use tree::{TreeConfig, TreeTiming};

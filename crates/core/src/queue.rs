@@ -7,24 +7,7 @@
 //! *authen-then-write* and *authen-then-fetch* rely on.
 
 use secsim_stats::CounterSet;
-
-/// Identifier of an authentication request.
-///
-/// `AuthId::NONE` (= 0) denotes "no request / verified long ago"; real
-/// ids start at 1 and increase monotonically (the *LastRequest register*
-/// holds the most recent one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct AuthId(pub u64);
-
-impl AuthId {
-    /// The null id: nothing to wait for.
-    pub const NONE: AuthId = AuthId(0);
-
-    /// Whether this is a real request id.
-    pub fn is_some(self) -> bool {
-        self.0 != 0
-    }
-}
+use std::collections::VecDeque;
 
 /// Authentication queue parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +38,14 @@ impl Default for AuthQueueConfig {
 /// Timing is computed eagerly: a request's completion time is fixed when
 /// it is enqueued, as `max(data arrival, engine availability, in-order
 /// predecessor) + mac_latency`. Completion times are therefore monotone
-/// in request id.
+/// in request order.
+///
+/// The queue keeps what the hardware keeps, however long the run: the
+/// cycle its engine frees, the newest request's done cycle (the
+/// *LastRequest register*'s broadcast), the done cycles of the last
+/// `capacity` requests (the slots a new request waits on), and the
+/// arrivals a later [`AuthQueue::watermark_before`] query can still
+/// select, which [`AuthQueue::forget_before`] prunes.
 ///
 /// # Examples
 ///
@@ -63,22 +53,35 @@ impl Default for AuthQueueConfig {
 /// use secsim_core::{AuthQueue, AuthQueueConfig};
 ///
 /// let mut q = AuthQueue::new(AuthQueueConfig { capacity: 4, mac_latency: 74, initiation_interval: 74 });
-/// let first = q.request(1000, 0);
-/// assert_eq!(q.done_time(first), 1074);
+/// assert_eq!(q.request(1000, 0), 1074);
 /// // A burst of requests serializes on the single engine:
-/// let ids: Vec<_> = (0..3).map(|_| q.request(1000, 0)).collect();
-/// assert_eq!(q.done_time(ids[2]), 1074 + 3 * 74);
+/// let done: Vec<_> = (0..3).map(|_| q.request(1000, 0)).collect();
+/// assert_eq!(done[2], 1074 + 3 * 74);
+/// assert_eq!(q.drain_time(), done[2]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AuthQueue {
     cfg: AuthQueueConfig,
-    /// `done_times[i]` = completion cycle of request id `i + 1`.
-    done_times: Vec<u64>,
-    /// `start_times[i]` = cycle request `i + 1` began verification.
-    start_times: Vec<u64>,
-    /// `arrive_times[i]` = cycle request `i + 1`'s data arrived on chip
-    /// (clamped monotone so binary search is valid).
-    arrive_times: Vec<u64>,
+    /// Cycle the engine may start the next request: the newest
+    /// request's start plus the initiation interval (0 before the first).
+    engine_free: u64,
+    /// Completion cycle of the newest request, and so of every request
+    /// (0 before the first).
+    last_done: u64,
+    /// The `capacity` queue slots, a ring of the last `capacity` done
+    /// cycles: `slots[next_slot]` is the one `capacity` requests back
+    /// (0 while never used).
+    slots: Box<[u64]>,
+    next_slot: usize,
+    /// `(arrive, done)` of the newest request that had arrived by
+    /// `horizon` and of every later one, arrivals ascending (each is
+    /// clamped to its predecessor's, so binary search is valid).
+    arrivals: VecDeque<(u64, u64)>,
+    /// No watermark query may sample below this cycle.
+    horizon: u64,
+    /// Per-request `(arrive, start, done)`, kept only after
+    /// [`AuthQueue::record_spans`].
+    span_log: Option<Vec<(u64, u64, u64)>>,
     // Plain fields: bumped on every enqueue.
     requests: u64,
     queue_wait_cycles: u64,
@@ -95,26 +98,23 @@ impl AuthQueue {
         assert!(cfg.mac_latency > 0, "MAC latency must be positive");
         Self {
             cfg,
-            done_times: Vec::new(),
-            start_times: Vec::new(),
-            arrive_times: Vec::new(),
+            engine_free: 0,
+            last_done: 0,
+            slots: vec![0; cfg.capacity].into_boxed_slice(),
+            next_slot: 0,
+            arrivals: VecDeque::new(),
+            horizon: 0,
+            span_log: None,
             requests: 0,
             queue_wait_cycles: 0,
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &AuthQueueConfig {
-        &self.cfg
-    }
-
     /// Enqueues a verification request for data arriving at
     /// `data_ready`: shorthand for [`AuthQueue::request_arrived`] with
     /// both cycles equal. `extra_latency` adds scheme-specific work
-    /// (hash-tree levels). Returns the request id — afterwards also
-    /// readable from the *LastRequest register*
-    /// ([`AuthQueue::last_request`]).
-    pub fn request(&mut self, data_ready: u64, extra_latency: u64) -> AuthId {
+    /// (hash-tree levels). Returns the request's completion cycle.
+    pub fn request(&mut self, data_ready: u64, extra_latency: u64) -> u64 {
         self.request_arrived(data_ready, data_ready, extra_latency)
     }
 
@@ -124,30 +124,16 @@ impl AuthQueue {
     /// *authen-then-fetch* watermark must start counting it) from the
     /// cycle the full line + MAC is home (`data_ready` — when hashing
     /// can start). The secure memory controller makes one such request
-    /// per external line fill.
-    pub fn request_arrived(&mut self, arrived: u64, data_ready: u64, extra_latency: u64) -> AuthId {
-        let n = self.done_times.len();
-        // Engine availability: in-order, single engine with the
-        // configured initiation interval.
-        let engine_free = if n == 0 {
-            0
-        } else if self.cfg.initiation_interval == 0 {
-            self.start_times[n - 1]
-        } else {
-            self.start_times[n - 1] + self.cfg.initiation_interval
-        };
-        // Slot availability: a full queue waits for the oldest
-        // outstanding request to retire.
-        let slot_free = if n >= self.cfg.capacity {
-            self.done_times[n - self.cfg.capacity]
-        } else {
-            0
-        };
-        let start = data_ready.max(engine_free).max(slot_free);
+    /// per external line fill. Returns the request's completion cycle.
+    pub fn request_arrived(&mut self, arrived: u64, data_ready: u64, extra_latency: u64) -> u64 {
+        // Engine availability (in-order, single engine), and slot
+        // availability: a full queue waits for the oldest outstanding
+        // request to retire.
+        let start = data_ready.max(self.engine_free).max(self.slots[self.next_slot]);
         if start > data_ready {
             self.queue_wait_cycles += start - data_ready;
         }
-        let prev_done = if n == 0 { 0 } else { self.done_times[n - 1] };
+        let prev_done = self.last_done;
         // In-order completion broadcast: done times are monotone.
         let done = (start + self.cfg.mac_latency + extra_latency).max(prev_done);
         // Security-invariant oracle (active in debug/check builds):
@@ -159,15 +145,21 @@ impl AuthQueue {
                 done >= prev_done && done >= data_ready && start >= data_ready,
                 "auth-queue oracle: request {} done {done} (start {start}) violates \
                  in-order completion (prev_done {prev_done}, data_ready {data_ready})",
-                n + 1,
+                self.requests + 1,
             );
         }
-        self.start_times.push(start);
-        self.done_times.push(done);
-        let prev_arrive = self.arrive_times.last().copied().unwrap_or(0);
-        self.arrive_times.push(arrived.min(data_ready).max(prev_arrive));
+        self.engine_free = start + self.cfg.initiation_interval;
+        self.last_done = done;
+        self.slots[self.next_slot] = done;
+        self.next_slot = (self.next_slot + 1) % self.slots.len();
+        let prev_arrive = self.arrivals.back().map_or(0, |&(a, _)| a);
+        let arrive = arrived.min(data_ready).max(prev_arrive);
+        self.arrivals.push_back((arrive, done));
+        if let Some(log) = self.span_log.as_mut() {
+            log.push((arrive, start, done));
+        }
         self.requests += 1;
-        AuthId(n as u64 + 1)
+        done
     }
 
     /// The *LastRequest tag* gate of `authen-then-fetch` (§4.2.4): the
@@ -179,64 +171,59 @@ impl AuthQueue {
     /// dependencies of an already-issued instruction, so — exactly as
     /// the paper's Figure 6 states — they "have no latency impact on
     /// this new memory fetch".
+    ///
+    /// `t` must be at or past every horizon passed to
+    /// [`AuthQueue::forget_before`]; debug and `oracles` builds assert it.
     pub fn watermark_before(&self, t: u64) -> u64 {
-        let idx = self.arrive_times.partition_point(|&c| c <= t);
+        if cfg!(any(debug_assertions, feature = "oracles")) {
+            assert!(
+                t >= self.horizon,
+                "auth-queue oracle: watermark sampled at cycle {t}, below the horizon {}",
+                self.horizon,
+            );
+        }
+        let idx = self.arrivals.partition_point(|&(a, _)| a <= t);
         if idx == 0 {
             0
         } else {
-            self.done_times[idx - 1]
+            self.arrivals[idx - 1].1
         }
     }
 
-    /// Completion cycle of `id` (0 for [`AuthId::NONE`]).
-    ///
-    /// Because verification is in-order, this is also the cycle by which
-    /// *every request up to and including* `id` has verified.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never issued by this queue.
-    pub fn done_time(&self, id: AuthId) -> u64 {
-        if id == AuthId::NONE {
-            0
-        } else {
-            self.done_times[(id.0 - 1) as usize]
+    /// Promises that no later [`AuthQueue::watermark_before`] query
+    /// samples below `horizon`, and forgets every arrival such a query
+    /// can no longer select: all but the newest that had arrived by
+    /// `horizon`. A horizon below an earlier one changes nothing.
+    pub fn forget_before(&mut self, horizon: u64) {
+        self.horizon = self.horizon.max(horizon);
+        while self.arrivals.get(1).is_some_and(|&(a, _)| a <= self.horizon) {
+            self.arrivals.pop_front();
         }
-    }
-
-    /// The *LastRequest register*: id of the most recent request
-    /// ([`AuthId::NONE`] if none yet).
-    pub fn last_request(&self) -> AuthId {
-        AuthId(self.done_times.len() as u64)
     }
 
     /// Cycle by which the queue as currently filled fully drains
-    /// (completion of the last request; 0 when empty). This is the gate
-    /// used by `drain-authen-then-fetch`.
+    /// (completion of the newest request; 0 when none was made). This
+    /// is the gate used by `drain-authen-then-fetch`, and by
+    /// `authen-then-write` as the LastRequest register's tag.
     pub fn drain_time(&self) -> u64 {
-        self.done_times.last().copied().unwrap_or(0)
+        self.last_done
     }
 
-    /// Total requests ever enqueued.
-    pub fn len(&self) -> usize {
-        self.done_times.len()
+    /// Starts logging every later request's `(arrive, start, done)`
+    /// cycles, readable via [`AuthQueue::spans`].
+    pub fn record_spans(&mut self) {
+        if self.span_log.is_none() {
+            self.span_log = Some(Vec::new());
+        }
     }
 
-    /// Whether no request was ever enqueued.
-    pub fn is_empty(&self) -> bool {
-        self.done_times.is_empty()
-    }
-
-    /// Per-request `(arrive, start, done)` cycle triples in request-id
-    /// order: when the block's data was home, when the MAC engine began
+    /// Per-request `(arrive, start, done)` cycle triples in request
+    /// order (empty unless [`AuthQueue::record_spans`] was called
+    /// first): when the block's data was home, when the MAC engine began
     /// verifying it, and when verification completed. Backs the trace
     /// layer's MAC-queue spans and auth-queue occupancy series.
-    pub fn spans(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.arrive_times
-            .iter()
-            .zip(&self.start_times)
-            .zip(&self.done_times)
-            .map(|((&a, &s), &d)| (a, s, d))
+    pub fn spans(&self) -> &[(u64, u64, u64)] {
+        self.span_log.as_deref().unwrap_or(&[])
     }
 
     /// Queue counters (`requests`, `queue_wait_cycles`), materialized on
@@ -259,11 +246,9 @@ mod tests {
     #[test]
     fn single_request_timing() {
         let mut q = q(8, 74);
-        let id = q.request(500, 0);
-        assert_eq!(id, AuthId(1));
-        assert_eq!(q.done_time(id), 574);
-        assert_eq!(q.last_request(), id);
+        assert_eq!(q.request(500, 0), 574);
         assert_eq!(q.drain_time(), 574);
+        assert_eq!(q.counters().get("requests"), 1);
     }
 
     #[test]
@@ -272,8 +257,7 @@ mod tests {
         let mut last = 0;
         // Out-of-order data arrivals still verify in order.
         for ready in [100u64, 50, 300, 10, 250] {
-            let id = q.request(ready, 0);
-            let done = q.done_time(id);
+            let done = q.request(ready, 0);
             assert!(done >= last, "done times must be monotone");
             last = done;
         }
@@ -282,9 +266,8 @@ mod tests {
     #[test]
     fn engine_serializes_bursts() {
         let mut q = q(8, 10);
-        let ids: Vec<_> = (0..4).map(|_| q.request(0, 0)).collect();
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(q.done_time(*id), 10 * (i as u64 + 1));
+        for i in 0..4 {
+            assert_eq!(q.request(0, 0), 10 * (i + 1));
         }
     }
 
@@ -295,10 +278,8 @@ mod tests {
             mac_latency: 10,
             initiation_interval: 1,
         });
-        let a = q.request(0, 0);
-        let b = q.request(0, 0);
-        assert_eq!(q.done_time(a), 10);
-        assert_eq!(q.done_time(b), 11);
+        assert_eq!(q.request(0, 0), 10);
+        assert_eq!(q.request(0, 0), 11);
     }
 
     #[test]
@@ -308,15 +289,29 @@ mod tests {
         let _b = q.request(0, 0); // done 20
         // Third request must wait for slot of `a` (free at 10):
         let c = q.request(0, 0);
-        assert!(q.done_time(c) >= q.done_time(a) + 10);
+        assert!(c >= a + 10);
         assert!(q.counters().get("queue_wait_cycles") > 0);
+    }
+
+    /// A fully pipelined engine behind two slots: the third and fourth
+    /// requests each wait for the slot of the request two back, and the
+    /// ring wraps onto the slot the first request freed.
+    #[test]
+    fn slots_ring_waits_on_the_request_capacity_back() {
+        let mut q = AuthQueue::new(AuthQueueConfig {
+            capacity: 2,
+            mac_latency: 10,
+            initiation_interval: 0,
+        });
+        let done = [0, 0, 0, 0, 100].map(|t| q.request(t, 0));
+        assert_eq!(done, [10, 10, 20, 20, 110]);
+        assert_eq!(q.counters().get("queue_wait_cycles"), 10 + 10);
     }
 
     #[test]
     fn extra_latency_adds() {
         let mut q = q(8, 74);
-        let id = q.request(100, 300); // hash-tree walk
-        assert_eq!(q.done_time(id), 100 + 74 + 300);
+        assert_eq!(q.request(100, 300), 100 + 74 + 300); // hash-tree walk
     }
 
     #[test]
@@ -329,20 +324,19 @@ mod tests {
         let ok = q.request(100, 0);
         let dropped = q.request(200, crate::faults::MAC_DROP_DELAY);
         let after = q.request(300, 0);
-        assert_eq!(q.done_time(ok), 174);
-        assert!(q.done_time(dropped) >= crate::faults::MAC_DROP_DELAY);
+        assert_eq!(ok, 174);
+        assert!(dropped >= crate::faults::MAC_DROP_DELAY);
         // In-order verification: everything behind the drop waits too.
-        assert!(q.done_time(after) >= q.done_time(dropped));
-        assert_eq!(q.drain_time(), q.done_time(after));
+        assert!(after >= dropped);
+        assert_eq!(q.drain_time(), after);
     }
 
     #[test]
-    fn none_id_is_always_done() {
+    fn empty_queue_has_nothing_to_wait_for() {
         let q = q(8, 74);
-        assert_eq!(q.done_time(AuthId::NONE), 0);
-        assert!(!AuthId::NONE.is_some());
-        assert_eq!(q.last_request(), AuthId::NONE);
-        assert!(q.is_empty());
+        assert_eq!(q.drain_time(), 0);
+        assert_eq!(q.watermark_before(u64::MAX), 0);
+        assert_eq!(q.counters().get("requests"), 0);
     }
 
     #[test]
@@ -358,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn arrive_times_clamped_monotone() {
+    fn arrivals_clamped_monotone() {
         let mut q = q(8, 10);
         q.request(500, 0);
         q.request(100, 0); // out-of-order arrival clamps to 500
@@ -372,22 +366,73 @@ mod tests {
         // watermark counts the block from its arrival; an arrival after
         // `data_ready` clamps down to it.
         let mut q = q(8, 10);
-        let a = q.request_arrived(90, 120, 0);
-        assert_eq!(q.done_time(a), 130);
+        assert_eq!(q.request_arrived(90, 120, 0), 130);
         assert_eq!(q.watermark_before(89), 0);
         assert_eq!(q.watermark_before(90), 130, "counted from arrival, not data_ready");
-        let b = q.request_arrived(600, 500, 0);
-        assert_eq!(q.done_time(b), 510);
+        assert_eq!(q.request_arrived(600, 500, 0), 510);
         assert_eq!(q.watermark_before(499), 130);
         assert_eq!(q.watermark_before(500), 510, "a late arrival clamps to data_ready");
     }
 
     #[test]
-    fn last_request_tracks() {
+    fn drain_time_tracks_the_newest_request() {
         let mut q = q(8, 74);
         q.request(0, 0);
-        q.request(0, 0);
-        assert_eq!(q.last_request(), AuthId(2));
-        assert_eq!(q.len(), 2);
+        let newest = q.request(0, 0);
+        assert_eq!(q.drain_time(), newest);
+        assert_eq!(q.counters().get("requests"), 2);
+    }
+
+    /// Pruning keeps the newest arrival at or below the horizon and every
+    /// later one, so each query at or past the horizon reads as before.
+    #[test]
+    fn forget_before_keeps_every_answer_at_or_past_the_horizon() {
+        let mut q = q(8, 10);
+        let done = [100, 200, 300, 400].map(|t| q.request(t, 0));
+        q.forget_before(250);
+        assert_eq!(q.arrivals.len(), 3, "only the arrival at 100 is forgotten");
+        assert_eq!(q.watermark_before(250), done[1]);
+        assert_eq!(q.watermark_before(399), done[2]);
+        assert_eq!(q.watermark_before(400), done[3]);
+        q.forget_before(150); // a lower horizon changes nothing
+        assert_eq!(q.horizon, 250);
+        assert_eq!(q.arrivals.len(), 3);
+        q.forget_before(u64::MAX);
+        assert_eq!(q.arrivals.len(), 1);
+        assert_eq!(q.watermark_before(u64::MAX), done[3]);
+    }
+
+    /// A horizon that follows the arrivals holds the queue's state to its
+    /// slots and a handful of arrivals, however many requests it served.
+    #[test]
+    fn state_stays_bounded_under_a_moving_horizon() {
+        let mut q = q(16, 74);
+        for t in 0..100_000u64 {
+            q.forget_before(100 * t);
+            q.request(100 * t + 300, 0);
+            assert!(q.watermark_before(100 * t) <= q.drain_time());
+        }
+        assert!(q.arrivals.len() <= 4, "{} arrivals kept", q.arrivals.len());
+        assert!(q.spans().is_empty(), "no span log unless recording");
+    }
+
+    #[test]
+    fn spans_log_only_after_record_spans() {
+        let mut q = q(8, 10);
+        q.request(5, 0);
+        q.record_spans();
+        q.request_arrived(90, 120, 0);
+        q.request(100, 0);
+        assert_eq!(q.spans(), [(90, 120, 130), (100, 130, 140)]);
+    }
+
+    #[cfg(any(debug_assertions, feature = "oracles"))]
+    #[test]
+    #[should_panic(expected = "below the horizon 500")]
+    fn a_watermark_below_the_horizon_trips_the_oracle() {
+        let mut q = q(8, 10);
+        q.request(100, 0);
+        q.forget_before(500);
+        q.watermark_before(499);
     }
 }

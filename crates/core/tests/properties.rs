@@ -15,11 +15,12 @@ use std::collections::HashMap;
 
 const CASES: u64 = 256;
 
-/// Completion times are monotone in request id for any arrival pattern
-/// and queue shape, and no request verifies before its data plus one MAC
-/// latency: the in-order broadcast the LastRequest watermark relies on.
+/// Completion times are monotone in request order for any arrival
+/// pattern and queue shape, and no request verifies before its data plus
+/// one MAC latency: the in-order broadcast the LastRequest watermark
+/// relies on.
 #[test]
-fn queue_done_times_monotone() {
+fn queue_completions_monotone() {
     for_each_case(CASES, |seed, rng| {
         let mac = 1 + rng.index(199) as u64;
         let mut q = AuthQueue::new(AuthQueueConfig {
@@ -30,8 +31,7 @@ fn queue_done_times_monotone() {
         let mut last = 0;
         for _ in 0..1 + rng.index(199) {
             let (ready, extra) = (rng.index(100_000) as u64, rng.index(500) as u64);
-            let id = q.request(ready, extra);
-            let done = q.done_time(id);
+            let done = q.request(ready, extra);
             assert!(done >= last, "case seed {seed}: done {done} before its predecessor's {last}");
             assert!(done >= ready + mac, "case seed {seed}: verified before data + MAC");
             last = done;
@@ -43,29 +43,33 @@ fn queue_done_times_monotone() {
 /// The fetch-gate watermark is monotone in the sample time, never passes
 /// the drain time, and is the done time of the newest request that had
 /// arrived by then together with every request before it (arrivals are
-/// in-order).
+/// in-order). Requests keep coming between probes, and before each probe
+/// the queue forgets below a random, nondecreasing horizon at or below
+/// it: every answer still equals the unpruned reference.
 #[test]
 fn queue_watermark_monotone() {
     for_each_case(CASES, |seed, rng| {
         let mut q = AuthQueue::new(AuthQueueConfig::default());
         let mut arrived_by = Vec::new(); // (latest arrival up to request i, its done time)
-        for _ in 0..1 + rng.index(99) {
-            let at = rng.index(50_000) as u64;
-            let id = q.request(at, 0);
-            let prev = arrived_by.last().map_or(0, |&(a, _)| a);
-            arrived_by.push((at.max(prev), q.done_time(id)));
-        }
         let mut probes: Vec<u64> =
             (0..1 + rng.index(49)).map(|_| rng.index(60_000) as u64).collect();
         probes.sort_unstable();
-        let mut last = 0;
+        let (mut horizon, mut last) = (0, 0);
         for t in probes {
+            for _ in 0..rng.index(5) {
+                let at = rng.index(50_000) as u64;
+                let done = q.request(at, 0);
+                let prev = arrived_by.last().map_or(0, |&(a, _)| a);
+                arrived_by.push((at.max(prev), done));
+            }
+            horizon += rng.index((t - horizon) as usize + 1) as u64;
+            q.forget_before(horizon);
             let w = q.watermark_before(t);
             assert!(w >= last, "case seed {seed}: watermark fell to {w} from {last} at {t}");
             assert!(w <= q.drain_time(), "case seed {seed}: watermark past the drain time");
             let want =
                 arrived_by.iter().take_while(|&&(a, _)| a <= t).last().map_or(0, |&(_, d)| d);
-            assert_eq!(w, want, "case seed {seed}: watermark at {t}");
+            assert_eq!(w, want, "case seed {seed}: watermark at {t}, horizon {horizon}");
             last = w;
         }
     });

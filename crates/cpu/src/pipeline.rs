@@ -280,6 +280,7 @@ pub(crate) fn run_pipeline<M: SecureImage>(
     let mut tracer = trace.map(Tracer::new);
     if tracer.is_some() {
         ms.channel_mut().record_transfers();
+        ms.engine_mut().queue_mut().record_spans();
     }
     let mut bp = BranchPredictor::new(cfg.cpu.bpred);
     let mut st = start;
@@ -429,6 +430,11 @@ pub(crate) fn run_pipeline<M: SecureImage>(
             if apply_due_faults(&mut injector, fetch_avail, image, &mut ms) {
                 icache.flush();
             }
+            // No later watermark query samples below `fetch_avail`: it
+            // never decreases, later I-fetches sample it, and a D-side
+            // access samples at or after its instruction's issue, which
+            // follows its fetch slot. Runs once per I-line at least.
+            ms.engine_mut().queue_mut().forget_before(fetch_avail);
             let bnb = fetch_gate(ms.engine(), &policy, fetch_avail);
             let acc = ms.access(info.pc, AccessKind::IFetch, fetch_avail, bnb);
             note_tamper(image, info.pc, acc.auth_ready, &mut exception);
@@ -586,8 +592,7 @@ pub(crate) fn run_pipeline<M: SecureImage>(
                 bus_granted = acc.bus_granted;
                 n_stores += 1;
                 if policy.gate_write {
-                    let q = ms.engine().queue();
-                    store_tag_done = q.done_time(q.last_request());
+                    store_tag_done = ms.engine().queue().drain_time();
                 }
                 // Address generation + buffer entry; the store "finishes"
                 // for commit purposes once the line is present.
@@ -768,12 +773,7 @@ pub(crate) fn run_pipeline<M: SecureImage>(
         if let Some((port, value)) = info.out {
             // Output channels wait for verification under write gating;
             // commit gating already delayed `ct` past verification.
-            let vis = if policy.gate_write {
-                let q = ms.engine().queue();
-                ct.max(q.done_time(q.last_request()))
-            } else {
-                ct
-            };
+            let vis = if policy.gate_write { ct.max(ms.engine().queue().drain_time()) } else { ct };
             quiesce = quiesce.max(vis);
             report.io_events.push(IoEvent { port, value, cycle: vis });
         }
@@ -785,7 +785,7 @@ pub(crate) fn run_pipeline<M: SecureImage>(
                 inst: info.inst,
                 fetch: ft,
                 dispatch: dt,
-                issue: ready.max(dt + 1),
+                issue: it,
                 complete,
                 commit: ct,
             });
@@ -1234,5 +1234,40 @@ mod tests {
         // And the traced run's timing matches an untraced run exactly.
         let plain = simulate(&mut mem.clone(), entry, &cfg, false);
         assert_eq!(plain.cycles, out.report.cycles);
+    }
+
+    /// The Gantt chart's issue marker is the issue slot the retire
+    /// observer reports, also when a burst of instructions waits on one
+    /// missing load and the issue width spreads them over several
+    /// cycles after their operand is ready.
+    #[test]
+    fn inst_timings_issue_is_the_issue_slot() {
+        let mut a = Asm::new(0x1000);
+        a.li(Reg::R1, 0x10_0000);
+        a.lw(Reg::R2, Reg::R1, 0);
+        for _ in 0..24 {
+            a.add(Reg::R3, Reg::R2, Reg::R2);
+        }
+        a.halt();
+        let mut mem = FlatMem::new(0x1000, 2 << 20);
+        mem.load_words(0x1000, &a.assemble().unwrap());
+        let cfg = SimConfig::paper_256k(Policy::authen_then_commit());
+        let mut issued = Vec::new();
+        let r = crate::SimSession::new(&cfg)
+            .trace_bus(true)
+            .observe(|rec| issued.push((rec.seq, rec.issue)))
+            .run(&mut mem, 0x1000)
+            .into_report();
+        let drawn: Vec<_> = r.inst_timings.iter().map(|t| (t.seq, t.issue)).collect();
+        assert_eq!(drawn, issued);
+        // The adds are ready together and issue four a cycle.
+        let adds: Vec<u64> = r
+            .inst_timings
+            .iter()
+            .filter(|t| matches!(t.inst, Inst::Add { .. }))
+            .map(|t| t.issue)
+            .collect();
+        assert_eq!(adds.len(), 24);
+        assert!(adds[23] > adds[0], "issue width spreads the burst: {adds:?}");
     }
 }

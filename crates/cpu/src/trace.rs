@@ -439,7 +439,7 @@ impl Tracer {
     /// and produces the final [`SimTrace`].
     pub(crate) fn finish(
         self,
-        auth_spans: impl Iterator<Item = (u64, u64, u64)>,
+        auth_spans: &[(u64, u64, u64)],
         bus: &[BusXfer],
         cycles: u64,
     ) -> SimTrace {
@@ -448,7 +448,7 @@ impl Tracer {
         events.extend(self.releases);
         let mut authq = OccupancySeries::new();
         let mut auth_ring: VecDeque<TraceEvent> = VecDeque::new();
-        for (id0, (arrive, start, done)) in auth_spans.enumerate() {
+        for (id0, &(arrive, start, done)) in auth_spans.iter().enumerate() {
             authq.delta(arrive, 1);
             authq.delta(done, -1);
             Self::push_ring(
@@ -508,7 +508,7 @@ mod tests {
         for seq in 0..5u64 {
             t.record_store_release(seq, seq * 10, seq * 10 + 3);
         }
-        let trace = t.finish(std::iter::empty(), &[], 100);
+        let trace = t.finish(&[], &[], 100);
         let seqs: Vec<u64> = trace
             .events
             .iter()

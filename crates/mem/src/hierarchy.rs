@@ -56,19 +56,10 @@ pub struct FillResponse {
     /// Cycle integrity verification completes (`0` if the engine does
     /// not authenticate).
     pub auth_ready: u64,
-    /// Authentication-queue request id (`0` if none).
-    pub auth_id: u64,
     /// Cycle the demand bus transfer's address phase was granted (`0`
     /// if the fill put nothing on the bus). Always `>=` the request's
     /// `bus_not_before` — the authen-then-fetch invariant.
     pub bus_granted: u64,
-}
-
-impl FillResponse {
-    /// A response for data that needs no decryption or verification.
-    pub fn immediate(ready: u64) -> Self {
-        Self { data_ready: ready, decrypt_ready: ready, auth_ready: 0, auth_id: 0, bus_granted: 0 }
-    }
 }
 
 /// The hook through which the secure memory controller injects
@@ -102,7 +93,6 @@ impl FillEngine for PlainFill {
             data_ready: t.first_ready,
             decrypt_ready: t.first_ready,
             auth_ready: 0,
-            auth_id: 0,
             bus_granted: t.granted,
         }
     }
@@ -163,8 +153,6 @@ pub struct MemAccessResult {
     /// Cycle the line's integrity verification completes (`0` = already
     /// verified / not authenticated).
     pub auth_ready: u64,
-    /// Authentication request id for the line (`0` = none).
-    pub auth_id: u64,
     /// Whether this access missed in L2 (went off-chip).
     pub l2_miss: bool,
     /// Whether this access missed in L1.
@@ -200,11 +188,12 @@ pub struct MemSystem<F> {
     dtlb: Tlb,
     chan: Channel,
     engine: F,
-    /// Per-L2-way fill metadata, indexed by [`CacheAccess::way`]
+    /// Per-L2-way fill metadata, the fill's `(decrypt_ready,
+    /// auth_ready)`, indexed by [`CacheAccess::way`]
     /// (`crate::cache::CacheAccess::way`): a slot is meaningful exactly
     /// while the L2 line it was written for stays resident, so lookups
     /// go through `Cache::probe_way` and never need a hash map.
-    line_meta: Vec<FillResponse>,
+    line_meta: Vec<(u64, u64)>,
     // Plain fields: bumped on every L2 lookup.
     l2_hits: u64,
     l2_misses: u64,
@@ -223,7 +212,7 @@ impl<F: FillEngine> MemSystem<F> {
             dtlb: Tlb::new(cfg.dtlb),
             chan: Channel::new(cfg.dram),
             engine,
-            line_meta: vec![FillResponse::immediate(0); Cache::new(cfg.l2).way_slots()],
+            line_meta: vec![(0, 0); Cache::new(cfg.l2).way_slots()],
             l2_hits: 0,
             l2_misses: 0,
             l2_prefetches: 0,
@@ -304,7 +293,7 @@ impl<F: FillEngine> MemSystem<F> {
         };
 
         let resp = self.engine.fill(demand_req, &mut self.chan);
-        self.line_meta[l2_res.way] = resp;
+        self.line_meta[l2_res.way] = (resp.decrypt_ready, resp.auth_ready);
 
         // Next-line prefetch: allocate the line in L2, write back its
         // dirty victim, then fill it starting when the demand line's data
@@ -322,14 +311,14 @@ impl<F: FillEngine> MemSystem<F> {
                     now: resp.data_ready,
                     ..demand_req
                 };
-                self.line_meta[pf.way] = self.engine.fill(pf_req, &mut self.chan);
+                let pf_resp = self.engine.fill(pf_req, &mut self.chan);
+                self.line_meta[pf.way] = (pf_resp.decrypt_ready, pf_resp.auth_ready);
                 self.l2_prefetches += 1;
             }
         }
         MemAccessResult {
             ready: resp.decrypt_ready.max(miss_time),
             auth_ready: resp.auth_ready,
-            auth_id: resp.auth_id,
             l2_miss: true,
             l1_miss: true,
             bus_granted: resp.bus_granted,
@@ -345,24 +334,18 @@ impl<F: FillEngine> MemSystem<F> {
     ) -> MemAccessResult {
         match self.l2.probe_way(l2_line) {
             Some(way) => {
-                let meta = &self.line_meta[way];
+                let (decrypt_ready, auth_ready) = self.line_meta[way];
                 MemAccessResult {
-                    ready: base.max(meta.decrypt_ready),
-                    auth_ready: meta.auth_ready,
-                    auth_id: meta.auth_id,
+                    ready: base.max(decrypt_ready),
+                    auth_ready,
                     l2_miss,
                     l1_miss,
                     bus_granted: 0,
                 }
             }
-            None => MemAccessResult {
-                ready: base,
-                auth_ready: 0,
-                auth_id: 0,
-                l2_miss,
-                l1_miss,
-                bus_granted: 0,
-            },
+            None => {
+                MemAccessResult { ready: base, auth_ready: 0, l2_miss, l1_miss, bus_granted: 0 }
+            }
         }
     }
 

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Regenerates every committed results/*.md and results/*.csv file with
-# the release binary that writes it, each binary into an empty results
-# dir, and compares them with results/ byte for byte. Fails on any
-# difference, on a committed file that no binary writes, and on a
-# written file that is not committed. Build first:
+# the release binary that writes it (seven runs of six binaries), each
+# run into an empty results dir, and compares them with results/ byte
+# for byte. Fails on any difference, on a committed file that no binary
+# writes, and on a written file that is not committed. Build first:
 #   cargo build --release --workspace --locked
 set -eu
 cd "$(dirname "$0")/.."
@@ -29,10 +29,12 @@ regen stalls stalls --no-cache
 regen faults faults
 regen check secsim-check --no-cache
 regen workloads workloads --no-cache
+regen asm asm --no-cache
+regen oblivious secsim-check oblivious
 
 status=0
 : > "$OUT/written"
-for name in all stalls faults check workloads; do
+for name in all stalls faults check workloads asm oblivious; do
     for f in "$OUT/$name"/*.md "$OUT/$name"/*.csv; do
         [ -e "$f" ] || continue
         file=$(basename "$f")

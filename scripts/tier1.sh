@@ -70,9 +70,31 @@ stage "reproduction gate: every paper claim, from an empty results dir"
 SECSIM_RESULTS="$SMOKE_RESULTS/repro" ./target/release/verify_repro
 
 stage "results: regenerate every committed results/ file, byte for byte"
-# Five binaries, each into an empty results dir of its own; fails on any
-# differing, unwritten or uncommitted file.
+# Seven runs of six binaries, each into an empty results dir of its own;
+# fails on any differing, unwritten or uncommitted file.
 scripts/results_check.sh
+
+stage "memory: a 16M-instruction run peaks within 4 MB of a 1M-instruction run"
+# Simulator state that grows with run length (a per-request history,
+# say) shows here long before a 400M-instruction point exhausts a host.
+# Each run gets a python3 process of its own, so RUSAGE_CHILDREN reads
+# that run's peak alone.
+peak_mb() {
+    python3 -c '
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+print("%.1f" % (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024))
+' ./target/release/secsim run --bench mcf --policy "$1" --insts "$2"
+}
+for policy in issue commit+fetch; do
+    short=$(peak_mb "$policy" 1000000)
+    long=$(peak_mb "$policy" 16000000)
+    echo "$policy: peak RSS $short MB at 1M instructions, $long MB at 16M"
+    python3 -c 'import sys; sys.exit(float(sys.argv[2]) - float(sys.argv[1]) > 4)' "$short" "$long" || {
+        echo "FAIL: under $policy a 16M-instruction run holds over 4 MB more than a 1M one"
+        exit 1
+    }
+done
 
 stage "asm smoke: assemble examples/*.sasm, diff vs golden .sprog, run baseline+commit"
 SECSIM_RESULTS="$SMOKE_RESULTS/asm" ./target/release/asm --smoke

@@ -13,7 +13,20 @@ use secsim::core::{Policy, SecureConfig};
 use secsim::cpu::{CpuConfig, SimConfig, SimOutcome, SimReport, SimSession, TraceConfig};
 use secsim::mem::MemSystemConfig;
 use secsim::workloads::{assemble_named, register_program, BenchId};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+
+/// `println!` for a stdout whose reader may hang up: a closed pipe
+/// (`secsim run … | head`) drops the lines nobody reads, and the command
+/// runs to its end and exits 0. Any other write error fails the command.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        match writeln!(std::io::stdout(), $($arg)*) {
+            Err(e) if e.kind() != ErrorKind::BrokenPipe => return Err(format!("stdout: {e}")),
+            _ => {}
+        }
+    };
+}
 
 fn parse_policy(name: &str) -> Option<Policy> {
     Some(match name {
@@ -83,11 +96,11 @@ impl Args {
     }
 }
 
-fn print_report(r: &SimReport, verbose: bool) {
-    println!("insts   {:>12}", r.insts);
-    println!("cycles  {:>12}", r.cycles);
-    println!("IPC     {:>12.4}", r.ipc());
-    println!(
+fn print_report(r: &SimReport, verbose: bool) -> Result<(), String> {
+    out!("insts   {:>12}", r.insts);
+    out!("cycles  {:>12}", r.cycles);
+    out!("IPC     {:>12.4}", r.ipc());
+    out!(
         "status  {:>12}",
         if r.decode_fault {
             "decode-fault"
@@ -98,17 +111,20 @@ fn print_report(r: &SimReport, verbose: bool) {
         }
     );
     if let Some(e) = r.exception {
-        println!(
+        out!(
             "AUTH EXCEPTION at cycle {} (line {:#x}, precise: {})",
-            e.cycle, e.line_addr, e.precise
+            e.cycle,
+            e.line_addr,
+            e.precise
         );
     }
     for io in &r.io_events {
-        println!("out port {} = {:#x} @ cycle {}", io.port, io.value, io.cycle);
+        out!("out port {} = {:#x} @ cycle {}", io.port, io.value, io.cycle);
     }
     if verbose {
-        println!("--- counters ---\n{}", r.counters);
+        out!("--- counters ---\n{}", r.counters);
     }
+    Ok(())
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
@@ -173,7 +189,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     }
     let run = out.into_run();
     let r = run.report;
-    print_report(&r, args.flag("verbose"));
+    print_report(&r, args.flag("verbose"))?;
     if let Some(path) = chrome_path {
         let t = run.trace.expect("tracing was enabled");
         std::fs::write(path, t.to_chrome().render()).map_err(|e| format!("{path}: {e}"))?;
@@ -183,9 +199,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         write_trace_csv(path, &r)?;
         eprintln!("bus trace ({} events) written to {path}", r.bus_events.len());
     } else if trace {
-        println!("--- first bus events ---");
+        out!("--- first bus events ---");
         for e in r.bus_events.iter().take(20) {
-            println!("cycle {:>8}  {:#010x}  {:?}", e.cycle, e.addr, e.kind);
+            out!("cycle {:>8}  {:#010x}  {:?}", e.cycle, e.addr, e.kind);
         }
     }
     Ok(())
@@ -215,7 +231,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         ("commit+obf", Policy::commit_plus_obfuscation()),
     ];
     let mut base_ipc = 0.0;
-    println!("{:<14} {:>10} {:>8} {:>8}", "policy", "cycles", "IPC", "norm");
+    out!("{:<14} {:>10} {:>8} {:>8}", "policy", "cycles", "IPC", "norm");
     for (name, policy) in policies {
         let mut w = bench.build(args.num("seed", 2006)?);
         let mut cfg = SimConfig::paper_256k(policy).with_max_insts(insts);
@@ -224,7 +240,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         if base_ipc == 0.0 {
             base_ipc = r.ipc();
         }
-        println!("{:<14} {:>10} {:>8.3} {:>8.3}", name, r.cycles, r.ipc(), r.ipc() / base_ipc);
+        out!("{:<14} {:>10} {:>8.3} {:>8.3}", name, r.cycles, r.ipc(), r.ipc() / base_ipc);
     }
     Ok(())
 }
@@ -253,11 +269,7 @@ fn cmd_asm(args: &Args) -> Result<(), String> {
     }
     if args.flag("hex") {
         for (i, w) in image.code.iter().enumerate() {
-            println!(
-                "{:#010x}: {w:08x}  {}",
-                image.code_base + 4 * i as u32,
-                secsim::isa::decode(*w)
-            );
+            out!("{:#010x}: {w:08x}  {}", image.code_base + 4 * i as u32, secsim::isa::decode(*w));
         }
         return Ok(());
     }
@@ -268,11 +280,11 @@ fn cmd_asm(args: &Args) -> Result<(), String> {
     cfg.secure = cfg.secure.with_protected_region(w.data_base, w.data_bytes);
     let out = SimSession::new(&cfg).trace_bus(args.flag("trace")).run(&mut w.mem, w.entry);
     let r = out.into_run().report;
-    print_report(&r, args.flag("verbose"));
+    print_report(&r, args.flag("verbose"))?;
     if args.flag("trace") {
-        println!("--- first bus events ---");
+        out!("--- first bus events ---");
         for e in r.bus_events.iter().take(20) {
-            println!("cycle {:>8}  {:#010x}  {:?}", e.cycle, e.addr, e.kind);
+            out!("cycle {:>8}  {:#010x}  {:?}", e.cycle, e.addr, e.kind);
         }
     }
     Ok(())
@@ -290,26 +302,24 @@ fn cmd_attack(args: &Args) -> Result<(), String> {
     let policy = parse_policy(policy_name).ok_or_else(|| format!("unknown policy `{policy_name}`"))?;
     eprintln!("running {} against {policy}...", exploit.name());
     let out = run_exploit(exploit, policy);
-    println!("leaked   {}", out.leaked);
+    out!("leaked   {}", out.leaked);
     match out.recovered {
-        Some(v) => println!("secret   {v:#010x} (recovered by the adversary)"),
-        None => println!("secret   not recovered"),
+        Some(v) => out!("secret   {v:#010x} (recovered by the adversary)"),
+        None => out!("secret   not recovered"),
     }
     match out.exception_cycle {
-        Some(c) => println!("caught   authentication exception at cycle {c}"),
-        None => println!("caught   never (tampering undetected)"),
+        Some(c) => out!("caught   authentication exception at cycle {c}"),
+        None => out!("caught   never (tampering undetected)"),
     }
-    println!("trials   {}", out.trials);
+    out!("trials   {}", out.trials);
     Ok(())
 }
 
 fn cmd_list(_: &Args) -> Result<(), String> {
     let names: Vec<&str> = BenchId::all().map(BenchId::name).collect();
-    println!("benchmarks: {}", names.join(", "));
-    println!(
-        "policies:   baseline issue commit write fetch commit+fetch commit+obf"
-    );
-    println!("exploits:   {}", Exploit::ALL.map(|e| e.name()).join(", "));
+    out!("benchmarks: {}", names.join(", "));
+    out!("policies:   baseline issue commit write fetch commit+fetch commit+obf");
+    out!("exploits:   {}", Exploit::ALL.map(|e| e.name()).join(", "));
     Ok(())
 }
 

@@ -64,3 +64,26 @@ fn unknown_flags_are_refused_by_name() {
         assert!(stderr.contains("usage:"), "{args:?}: the usage line must follow, got: {stderr}");
     }
 }
+
+/// A stdout whose reader already hung up, as in `secsim run … | head`,
+/// ends the command with status 0 and no panic or broken-pipe error.
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    let sasm = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/countdown.sasm");
+    let cases: [&[&str]; 2] =
+        [&["run", "--bench", "gzip", "--insts", "2000", "--policy", "issue"], &["asm", sasm]];
+    for args in cases {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_secsim"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("secsim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        for text in ["panicked", "Broken pipe", "failed printing"] {
+            assert!(!stderr.contains(text), "{args:?}: {stderr}");
+        }
+    }
+}
